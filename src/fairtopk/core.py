@@ -266,10 +266,6 @@ class FairnessSpec:
             if not 0 <= lo <= hi <= k:
                 raise ValueError(f"group {j}: bounds [{lo}, {hi}] invalid for k={k}")
 
-    def clamped(self, k):
-        """Copy with upper bounds clamped to k."""
-        return FairnessSpec(self.lower, tuple(min(u, k) for u in self.upper))
-
     @classmethod
     def vacuous(cls, n_protected, k):
         return cls((0,) * n_protected, (k,) * n_protected)

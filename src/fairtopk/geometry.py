@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LpStallError, WeightVector, weight_components
+from .core import TIE_EPS, LpStallError, WeightVector, weight_components
 
 FEAS_TOL = 1e-9
-OPT_TOL = 1e-8
 _ZERO = 1e-12
 
 SEIDEL_MAX_DIMS = 8
@@ -423,6 +422,45 @@ def region_interval(region):
         return None
     xs = [float(v[0]) for v in verts]
     return min(xs), max(xs)
+
+
+def band_split(points, k, region):
+    """Cutoff band of the top-k over the region.
+
+    Returns (verts, sure_in, sure_out, lambda_hi, lambda_lo): the projected
+    region vertices, masks of the candidates inside (outside) every top-k
+    anywhere in the region, and the lowest sure-in minimum (highest
+    sure-out maximum) score, which bound the cutoff from above (below).
+    An empty region puts every candidate in the band.
+    """
+    verts = np.array(region_extreme_points(region)).reshape(-1, region.d - 1)
+    n = len(points)
+    if not len(verts):
+        return verts, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool), None, None
+    sv = points[:, :-1] @ verts.T + np.outer(points[:, -1], 1.0 - verts.sum(axis=1))
+    smin, smax = sv.min(axis=1), sv.max(axis=1)
+    if n > k:
+        u = np.partition(smax, n - k - 1)[n - k - 1]  # (k+1)-th largest max
+        v = np.partition(smin, n - k)[n - k]          # k-th largest min
+        sure_in = smin > u + TIE_EPS
+        sure_out = smax < v - TIE_EPS
+    else:
+        sure_in, sure_out = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    lambda_hi = float(smin[sure_in].min()) if sure_in.any() else None
+    lambda_lo = float(smax[sure_out].max()) if sure_out.any() else None
+    return verts, sure_in, sure_out, lambda_hi, lambda_lo
+
+
+def l1_envelope_rows(wo, nvars, phi):
+    """Rows phi_i >= |w_i - wo_i|, weights in columns 0..d-1, phi from column phi."""
+    rows = []
+    for i in range(len(wo)):
+        for sign in (-1.0, 1.0):
+            a = np.zeros(nvars)
+            a[phi + i] = 1.0
+            a[i] = sign
+            rows.append((a, ">=", sign * wo[i]))
+    return rows
 
 
 def hyperplane_side(coeffs, offset, points, tol=FEAS_TOL):

@@ -10,42 +10,35 @@ module at the cell witness, so duplicate-point ties stay handled exactly.
 A cutoff band keeps the LPs small: candidates provably inside every top-k
 over the region are fixed in, candidates provably outside are fixed out,
 and two cutoff rows keep the reduced model equivalent to the full one.
+
+The walk is serial, one first-in first-out queue: its work is pure-Python
+LP code that holds the GIL, so threads cannot overlap it and only add
+contention (a thread pool took 86 s with two workers against 70 s with one
+on the three-attribute acceptance suite).  The workers argument is
+accepted and has no effect.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
+import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    TIE_EPS,
-    BudgetExceededError,
-    FairResult,
-    UTILITY_LOSS,
-    W_DIFFERENCE,
-    WeightVector,
-    utility_loss,
-)
+from .core import BudgetExceededError, UTILITY_LOSS, WeightVector
 from .geometry import (
     LpProblem,
+    band_split,
     hyperplane_side,
+    l1_envelope_rows,
     lift_weight,
     project_halfspace,
-    region_extreme_points,
     simplex_lp,
     simplex_rows_projected,
     solve_lp,
 )
-from .verify import (
-    decompose_topk,
-    fair_topk_witness,
-    max_fair_utility,
-    reference_topk_utility,
-    verify_fair,
-)
+from .verify import decompose_topk, finish_result, max_fair_utility, verify_fair
 
 CELL_TOL = 1e-9
 DEFAULT_SWAP_BUDGET = 5_000_000
@@ -78,31 +71,15 @@ class _Workspace:
         self.k = k
         self.region = region
         self.d = dataset.d
-        verts = region_extreme_points(region)
-        self.verts = np.array(verts) if verts else np.empty((0, self.d - 1))
         pts = dataset.points
+        self.verts, self.sure_in, self.sure_out, self.lambda_hi, self.lambda_lo = (
+            band_split(pts, k, region)
+        )
+        self.band = ~(self.sure_in | self.sure_out)
         self.Q = pts[:, :-1] - pts[:, -1:]
         self.r = pts[:, -1].copy()
         self.ids = np.asarray(dataset.ids)
         self.pos = {cid: i for i, cid in enumerate(dataset.ids)}
-        if len(self.verts):
-            sv = self.Q @ self.verts.T + self.r[:, None]
-            self.smin = sv.min(axis=1)
-            self.smax = sv.max(axis=1)
-        else:
-            self.smin = self.smax = np.zeros(len(dataset))
-        n = len(dataset)
-        if n > k:
-            u = np.partition(self.smax, n - k - 1)[n - k - 1]  # (k+1)-th largest max
-            v = np.partition(self.smin, n - k)[n - k]          # k-th largest min
-            self.sure_in = self.smin > u + TIE_EPS
-            self.sure_out = self.smax < v - TIE_EPS
-        else:
-            self.sure_in = np.ones(n, dtype=bool)
-            self.sure_out = np.zeros(n, dtype=bool)
-        self.band = ~(self.sure_in | self.sure_out)
-        self.lambda_hi = float(self.smin[self.sure_in].min()) if self.sure_in.any() else None
-        self.lambda_lo = float(self.smax[self.sure_out].max()) if self.sure_out.any() else None
         self.region_rows = [project_halfspace(c, o) for c, o in region.halfspaces]
         # duplicate-point classes for canonical subset keys
         classes = {}
@@ -251,15 +228,7 @@ def _cell_min_wdiff(ws, subset):
         a = np.zeros(nv)
         a[d] = 1.0
         rows.append((a, ">=", ws.lambda_lo))
-    for i in range(d):
-        a = np.zeros(nv)
-        a[d + 1 + i] = 1.0
-        a[i] = -1.0
-        rows.append((a, ">=", -wo[i]))
-        a = np.zeros(nv)
-        a[d + 1 + i] = 1.0
-        a[i] = 1.0
-        rows.append((a, ">=", wo[i]))
+    rows.extend(l1_envelope_rows(wo, nv, d + 1))
     a = np.zeros(nv)
     a[:d] = 1.0
     rows.append((a, "=", 1.0))
@@ -294,9 +263,14 @@ def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGE
     Under w-difference each fair cell contributes its closest point to the
     reference; under utility loss its witness utility.  Exceeding the swap
     budget raises BudgetExceededError with the best solution so far
-    attached as partial.
+    attached as partial.  workers is accepted and ignored: the walk is
+    serial (see the module docstring).
     """
     spec.validate(k)
+    if workers > 1:
+        warnings.warn(
+            f"klevel traversal is serial; workers={workers} has no effect", stacklevel=2
+        )
     if ledger is None:
         ledger = TraversalLedger()
     ws = _Workspace(dataset, k, region)
@@ -307,148 +281,81 @@ def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGE
 
     seeds = [ws.verts.mean(axis=0)]
     seeds.extend(ws.verts)
-    wo_proj = np.asarray(wo.weights[:-1])
     if region.contains(wo):
-        seeds.append(wo_proj)
+        seeds.append(np.asarray(wo.weights[:-1]))
 
     visited = set()
-    sols = []
-    lock = threading.Lock()
-    budget_hit = threading.Event()
-    work = queue.Queue()
-
+    work = deque()
     for s in seeds:
         node = _initial_cell(ws, s)
         if node is not None and node.subset not in visited:
             visited.add(node.subset)
-            work.put(node)
+            work.append(node)
 
     band_ids = [int(i) for i in ws.ids[ws.band]]
     band_set = set(band_ids)
     point_of = {c.cid: c.point for c in dataset.candidates}
+    sols = []  # (objective key, subset, interior witness, closest cell point)
 
     def evaluate(node):
-        with lock:
-            ledger.cells_visited += 1
+        ledger.cells_visited += 1
         w_node = lift_weight(node.witness)
         if objective == UTILITY_LOSS:
             hit = max_fair_utility(dataset, k, spec, w_node, wo)
             if hit is not None:
-                with lock:
-                    ledger.fair_cells += 1
-                    sols.append((-hit[1], node.subset, node.witness))
-        else:
-            if verify_fair(dataset, k, spec, w_node):
-                cell = _cell_min_wdiff(ws, node.subset)
-                if cell is not None:
-                    with lock:
-                        ledger.fair_cells += 1
-                        sols.append((cell[1], node.subset, cell[0]))
+                ledger.fair_cells += 1
+                sols.append((-hit[1], node.subset, node.witness, None))
+        elif verify_fair(dataset, k, spec, w_node):
+            cell = _cell_min_wdiff(ws, node.subset)
+            if cell is not None:
+                ledger.fair_cells += 1
+                sols.append((cell[1], node.subset, node.witness, cell[0]))
 
     def expand(node):
-        outs = [c for c in node.subset if c in band_set]
-        ins = [c for c in band_ids if c not in set(node.subset)]
-        for c_out in outs:
-            for c_in in ins:
-                if point_of[c_out] == point_of[c_in]:
+        """Queue the unseen neighbour cells; False once the budget is spent."""
+        members = set(node.subset)
+        for c_out in [c for c in node.subset if c in band_set]:
+            for c_in in band_ids:
+                if c_in in members or point_of[c_out] == point_of[c_in]:
                     continue  # same cell under any weight
                 i_out, i_in = ws.pos[c_out], ws.pos[c_in]
                 diff = ws.Q[i_in] - ws.Q[i_out]
                 off = ws.r[i_in] - ws.r[i_out]
-                if len(ws.verts) and hyperplane_side(diff, off, ws.verts) != 0:
+                if hyperplane_side(diff, off, ws.verts) != 0:
                     ledger.pruned_by_region += 1
                     continue
-                with lock:
-                    ledger.swap_tests += 1
-                    if ledger.swap_tests > swap_budget:
-                        budget_hit.set()
-                if budget_hit.is_set():
-                    return
+                ledger.swap_tests += 1
+                if ledger.swap_tests > swap_budget:
+                    return False
                 witness = _swap_feasible(ws, node.subset, c_out, c_in)
                 if witness is None:
                     continue
-                new_subset = ws.canonical(
-                    tuple(sorted(set(node.subset) - {c_out} | {c_in}))
-                )
-                with lock:
-                    if new_subset in visited:
-                        continue
+                new_subset = ws.canonical(tuple(sorted(members - {c_out} | {c_in})))
+                if new_subset not in visited:
                     visited.add(new_subset)
-                work.put(CellNode(new_subset, witness, node.depth + 1))
+                    work.append(CellNode(new_subset, witness, node.depth + 1))
+        return True
 
-    errors = []
-    sentinel = object()
+    within_budget = True
+    while work and within_budget:
+        node = work.popleft()
+        evaluate(node)
+        within_budget = expand(node)
 
-    def run():
-        while True:
-            node = work.get()
-            if node is sentinel:
-                work.task_done()
-                return
-            try:
-                if not budget_hit.is_set() and not errors:
-                    evaluate(node)
-                    expand(node)
-            except BaseException as exc:  # propagate to the caller
-                errors.append(exc)
-            finally:
-                work.task_done()
-
-    n_workers = max(1, int(workers))
-    threads = [threading.Thread(target=run, daemon=True) for _ in range(n_workers)]
-    for t in threads:
-        t.start()
-    work.join()
-    for _ in threads:
-        work.put(sentinel)
-    work.join()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-
-    result = _reduce(dataset, k, spec, ws, sols, objective, wo)
-    if budget_hit.is_set():
+    result = None
+    if sols:
+        # subsets are unique, so (key, subset) orders the solutions totally
+        _, subset, witness, point = min(sols, key=lambda s: (s[0], s[1]))
+        if point is None:  # utility: prefer the cell point closest to the reference
+            cell = _cell_min_wdiff(ws, subset)
+            point = cell[0] if cell is not None else None
+        weights = [lift_weight(witness)]
+        if point is not None:
+            weights.insert(0, WeightVector(point))
+        result = finish_result(dataset, k, spec, region, weights, "klevel")
+    if not within_budget:
         raise BudgetExceededError(
             f"swap budget {swap_budget} exceeded after {ledger.cells_visited} cells",
             partial=result,
         )
     return result
-
-
-def _reduce(dataset, k, spec, ws, sols, objective, wo):
-    """Deterministic serial reduction over fair-cell solutions."""
-    if not sols:
-        return None
-    sols.sort(key=lambda s: (s[0], s[1], s[2]))
-    key, subset, point = sols[0]
-    if objective == W_DIFFERENCE:
-        weight = WeightVector(point)
-        value = key
-        witness = fair_topk_witness(dataset, k, spec, weight, objective, wo=wo)
-        if witness is None:
-            witness = subset
-        util = None
-    else:
-        cell = _cell_min_wdiff(ws, subset)
-        if cell is not None:
-            weight = WeightVector(cell[0])
-        else:
-            weight = lift_weight(np.asarray(point))
-        hit = max_fair_utility(dataset, k, spec, weight, wo)
-        if hit is None:
-            weight = lift_weight(np.asarray(point))
-            hit = max_fair_utility(dataset, k, spec, weight, wo)
-            if hit is None:
-                return None
-        witness, util = hit
-        uref = reference_topk_utility(dataset, k, wo)
-        value = utility_loss(util, uref)
-    return FairResult(
-        weight=weight,
-        objective=objective,
-        value=value,
-        subset=tuple(sorted(witness)),
-        engine="klevel",
-        utility=util,
-    )

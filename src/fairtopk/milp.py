@@ -11,7 +11,8 @@ The solver is a best-first branch and bound over the dense-simplex
 relaxation.  Integral relaxation points are re-solved with the binaries
 fixed before they may become incumbents, so numerically sloppy roundings
 can never leak into results; subsets whose fixed LP is infeasible are
-excluded by a no-good cut and the search continues.
+excluded by a no-good cut and the search continues.  The answer is the
+incumbent's normalized weight; its witness and value come from verify.
 """
 
 from __future__ import annotations
@@ -22,16 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    TIE_EPS,
-    BudgetExceededError,
-    FairResult,
-    W_DIFFERENCE,
-    WeightVector,
-    utility_loss,
-)
-from .geometry import LpProblem, region_extreme_points, simplex_lp
-from .verify import reference_topk_utility
+from .core import TIE_EPS, BudgetExceededError, W_DIFFERENCE, WeightVector
+from .geometry import LpProblem, band_split, l1_envelope_rows, simplex_lp
+from .verify import finish_result
 
 INT_TOL = 1e-6
 CUT_TOL = 1e-12
@@ -54,7 +48,6 @@ class MilpModel:
     bounds: list          # (lo, hi) per variable, None for free
     binaries: list        # variable indices of the membership binaries
     names: list
-    so_scores: np.ndarray  # reference score per candidate
 
     @property
     def nvars(self):
@@ -104,36 +97,24 @@ def build_milp(dataset, k, spec, region):
         a[:d] = coeffs
         rows.append((a, ">=", -off))
     if wdiff:
-        for i in range(d):
-            a = np.zeros(nv)
-            a[d + 1 + n + i] = 1.0
-            a[i] = -1.0
-            rows.append((a, ">=", -wo[i]))
-            a = np.zeros(nv)
-            a[d + 1 + n + i] = 1.0
-            a[i] = 1.0
-            rows.append((a, ">=", wo[i]))
+        rows.extend(l1_envelope_rows(wo, nv, d + 1 + n))
 
     bounds = [(0.0, 1.0)] * d + [(0.0, 1.0)]
     bounds += [(0.0, 1.0)] * n
     if wdiff:
         bounds += [(0.0, None)] * d
 
-    wo_arr = wo.as_array()
-    so = pts @ wo_arr
+    c = np.zeros(nv)
     if wdiff:
-        c = np.zeros(nv)
         c[d + 1 + n:] = 1.0
         direction = "min"
     else:
-        c = np.zeros(nv)
-        c[d + 1: d + 1 + n] = so
+        c[d + 1: d + 1 + n] = pts @ wo.as_array()
         direction = "max"
     return MilpModel(
         dataset=dataset, k=k, spec=spec, region=region,
         objective=region.objective, c=c, direction=direction, rows=rows,
         bounds=bounds, binaries=list(range(d + 1, d + 1 + n)), names=names,
-        so_scores=so,
     )
 
 
@@ -180,33 +161,15 @@ class _Node:
     fixings: dict = field(compare=False)
 
 
-def _band_split(model):
-    """Candidates forced in or out of every top-k across the region."""
-    verts = region_extreme_points(model.region)
-    n = len(model.dataset)
-    k = model.k
-    if not verts or n <= k:
-        return np.zeros(n, dtype=bool), np.zeros(n, dtype=bool), None, None
-    V = np.array(verts)
-    pts = model.dataset.points
-    sv = pts[:, :-1] @ V.T + np.outer(pts[:, -1], 1.0 - V.sum(axis=1))
-    smin, smax = sv.min(axis=1), sv.max(axis=1)
-    u = np.partition(smax, n - k - 1)[n - k - 1]
-    v = np.partition(smin, n - k)[n - k]
-    sure_in = smin > u + TIE_EPS
-    sure_out = smax < v - TIE_EPS
-    lam_hi = float(smin[sure_in].min()) if sure_in.any() else None
-    lam_lo = float(smax[sure_out].max()) if sure_out.any() else None
-    return sure_in, sure_out, lam_hi, lam_lo
-
-
 def _relaxation_rows(model, reduce_band):
     """Row set actually solved per node; reduced rows are equivalent."""
     d, n = model.dataset.d, len(model.dataset)
     rows = []
     base_fix = {}
     if reduce_band:
-        sure_in, sure_out, lam_hi, lam_lo = _band_split(model)
+        _, sure_in, sure_out, lam_hi, lam_lo = band_split(
+            model.dataset.points, model.k, model.region
+        )
         for i in np.nonzero(sure_in)[0]:
             base_fix[d + 1 + int(i)] = 1.0
         for i in np.nonzero(sure_out)[0]:
@@ -256,6 +219,16 @@ def solve_milp(model, node_budget=DEFAULT_NODE_BUDGET, reduce_band=True):
                 rows.append((a.copy(), "<=", hi))
         return simplex_lp(LpProblem(model.c, rows, model.direction))
 
+    def finish():
+        """Report the incumbent's normalized weight through verify."""
+        if incumbent is None:
+            return None
+        w = np.clip(incumbent, 0.0, None)
+        return finish_result(
+            model.dataset, model.k, model.spec, model.region,
+            [WeightVector(w / w.sum())], "milp",
+        )
+
     serial = 0
     heap = []
     root = relax(base_fix)
@@ -274,8 +247,7 @@ def solve_milp(model, node_budget=DEFAULT_NODE_BUDGET, reduce_band=True):
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(
-                f"node budget {node_budget} exceeded",
-                partial=_finish(model, incumbent),
+                f"node budget {node_budget} exceeded", partial=finish()
             )
         out = relax(node.fixings)
         if out.status != "optimal":
@@ -292,7 +264,7 @@ def solve_milp(model, node_budget=DEFAULT_NODE_BUDGET, reduce_band=True):
             pinned = relax(fix_all)
             if pinned.status == "optimal" and sense * pinned.value < best - CUT_TOL:
                 best = sense * pinned.value
-                incumbent = (pinned.x.copy(), rounded.copy())
+                incumbent = pinned.x[:d].copy()
             elif pinned.status != "optimal":
                 # exclude exactly this membership pattern and move on
                 a = np.zeros(model.nvars)
@@ -317,36 +289,8 @@ def solve_milp(model, node_budget=DEFAULT_NODE_BUDGET, reduce_band=True):
                 heap, _Node(sense * out.value, node.depth + 1, serial, child)
             )
 
-    result = _finish(model, incumbent)
+    result = finish()
     if result is not None:
         result.extras["nodes"] = nodes
         result.extras["cuts"] = n_cuts
     return result
-
-
-def _finish(model, incumbent):
-    """Recompute the reported numbers from the pinned solve and rounding."""
-    if incumbent is None:
-        return None
-    x, rounded = incumbent
-    d = model.dataset.d
-    w = np.clip(x[:d], 0.0, None)
-    weight = WeightVector(w / w.sum())
-    ids = model.dataset.ids
-    subset = tuple(sorted(ids[pos] for pos in np.nonzero(rounded > 0.5)[0]))
-    wo = model.region.reference
-    if model.objective == W_DIFFERENCE:
-        value = float(np.abs(weight.as_array() - wo.as_array()).sum())
-        util = None
-    else:
-        util = float(model.so_scores[[model.dataset._index_of(c) for c in subset]].sum())
-        uref = reference_topk_utility(model.dataset, model.k, wo)
-        value = utility_loss(util, uref)
-    return FairResult(
-        weight=weight,
-        objective=model.objective,
-        value=value,
-        subset=subset,
-        engine="milp",
-        utility=util,
-    )

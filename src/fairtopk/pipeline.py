@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    TIE_EPS,
     Candidate,
     DataFormatError,
     Dataset,
@@ -38,6 +39,7 @@ from .stability import stable_weight
 from .sweep2d import sweep_select
 from .verify import (
     fair_topk_witness,
+    finish_result,
     max_fair_utility,
     reference_topk_utility,
     verify_fair,
@@ -61,7 +63,7 @@ class RunConfig:
     wo: tuple = None
     extra_halfspaces: tuple = ()
     seed: int = 0
-    workers: int = 1
+    workers: int = 1  # accepted, no effect: the klevel walk is serial
     stable: bool = False
 
     def __post_init__(self):
@@ -190,19 +192,17 @@ def normalize(dataset):
 
 
 def kskyband(dataset, k):
-    """Keep candidates dominated (componentwise >=, one strict) by < k others.
+    """Keep candidates strictly dominated by fewer than k others.
 
-    Sound for interior simplex weights; the driver additionally requires
-    every region vertex to be strictly positive before applying it, since
-    a zero weight component can tie a dominated candidate back in.
+    A dominator must beat the candidate by more than the score tie
+    tolerance in every attribute, so it outscores the candidate beyond a
+    tie under every simplex weight, zero components included; a candidate
+    with k such dominators is in no top-k, not even through a tie.
     """
     pts = dataset.points
-    n = len(dataset)
     keep = []
-    for i in range(n):
-        ge = np.all(pts >= pts[i] - 1e-12, axis=1)
-        strict = np.any(pts > pts[i] + 1e-12, axis=1)
-        dominators = int(np.count_nonzero(ge & strict))
+    for i in range(len(dataset)):
+        dominators = int(np.count_nonzero(np.all(pts > pts[i] + TIE_EPS, axis=1)))
         if dominators < k:
             keep.append(dataset.candidates[i])
     return Dataset(keep, group_names=dataset.group_names)
@@ -289,6 +289,24 @@ def build_region(dataset, config):
     )
 
 
+def run_engine(engine, data, k, spec, region, workers=1):
+    """Answer with one resolved engine.
+
+    A reference weight inside the region that is already fair is optimal
+    under both objectives, so it is reported without running the search.
+    """
+    if engine == "sweep2d" and data.d != 2:
+        raise ValueError("sweep2d engine needs exactly two attributes")
+    wo = region.reference
+    if region.contains(wo) and verify_fair(data, k, spec, wo):
+        return finish_result(data, k, spec, region, [wo], engine)
+    if engine == "sweep2d":
+        return sweep_select(data, k, spec, region)
+    if engine == "klevel":
+        return traverse(data, k, spec, region, workers=workers)
+    return solve_milp(build_milp(data, k, spec, region))
+
+
 def select(dataset, config):
     """Fair weight synthesis driver; returns a FairResult or None.
 
@@ -304,16 +322,7 @@ def select(dataset, config):
     )
     region = build_region(data, config)
     engine = choose_engine(data.d, config.k, config.objective, config.engine)
-    if engine == "sweep2d" and data.d != 2:
-        raise ValueError("sweep2d engine needs exactly two attributes")
-    if engine == "sweep2d":
-        result = sweep_select(data, config.k, spec, region)
-    elif engine == "klevel":
-        result = traverse(
-            data, config.k, spec, region, workers=max(1, config.workers)
-        )
-    else:
-        result = solve_milp(build_milp(data, config.k, spec, region))
+    result = run_engine(engine, data, config.k, spec, region, config.workers)
     if result is None:
         return None
     if config.stable:
@@ -495,12 +504,7 @@ def bench(cases, seed=0, reps=3, sample_count=30):
                 result = None
                 for _ in range(max(1, reps)):
                     t0 = time.perf_counter()
-                    if resolved == "sweep2d":
-                        result = sweep_select(data, k, spec, region)
-                    elif resolved == "klevel":
-                        result = traverse(data, k, spec, region)
-                    else:
-                        result = solve_milp(build_milp(data, k, spec, region))
+                    result = run_engine(resolved, data, k, spec, region)
                     times.append((time.perf_counter() - t0) * 1000.0)
                     values.append(result.value if result else float("nan"))
                 rows.append({

@@ -12,18 +12,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .core import (
-    FairResult,
-    UTILITY_LOSS,
-    W_DIFFERENCE,
-    utility_loss,
-    w_difference,
-)
+from .core import W_DIFFERENCE
 from .geometry import dual_line, lift_weight, region_interval
-from .verify import decompose_topk, fair_topk_witness, max_fair_utility, verify_fair
+from .verify import finish_result, max_fair_utility, verify_fair
 
 _INF = math.inf
 
@@ -170,7 +164,6 @@ class SweepState:
     members: set
     counts: list
     group_map: dict
-    slots: dict = field(default_factory=dict)
 
     def apply_swap(self, out_owner, in_owner):
         self.members.discard(out_owner)
@@ -250,11 +243,6 @@ def sweep_events(s1, s2, state, x_end):
             yield SweepEvent(e, tuple(swaps))
 
 
-def _reference_utility(dataset, k, wo):
-    decomp = decompose_topk(dataset, k, wo)
-    return float(sum(decomp.scores[c] for c in decomp.order[:k]))
-
-
 def sweep_select(dataset, k, spec, region):
     """Best fair weight over a 2-d region, or None when none exists.
 
@@ -275,7 +263,6 @@ def sweep_select(dataset, k, spec, region):
     wo = region.reference
     wo_x = wo[0]
     objective = region.objective
-    uref = _reference_utility(dataset, k, wo) if objective == UTILITY_LOSS else None
 
     s1, s2, state = build_tournaments(dataset, k, lb)
     events = sweep_events(s1, s2, state, ub)
@@ -323,28 +310,8 @@ def sweep_select(dataset, k, spec, region):
 
     if best is None:
         return None
+    # a clamped cell boundary may lose fairness to rounding: the probe backs it up
     _, _, rep, probe = best
-    weight = lift_weight([rep])
-    witness = fair_topk_witness(dataset, k, spec, weight, objective, wo=wo)
-    if witness is None:
-        # a clamped cell boundary lost to rounding: report the probe instead
-        rep = probe
-        weight = lift_weight([rep])
-        witness = fair_topk_witness(dataset, k, spec, weight, objective, wo=wo)
-        if witness is None:
-            return None
-    if objective == W_DIFFERENCE:
-        value = w_difference(weight, wo)
-        util = None
-    else:
-        subset, util = max_fair_utility(dataset, k, spec, weight, wo)
-        witness = subset
-        value = utility_loss(util, uref)
-    return FairResult(
-        weight=weight,
-        objective=objective,
-        value=value,
-        subset=tuple(sorted(witness)),
-        engine="sweep2d",
-        utility=util,
+    return finish_result(
+        dataset, k, spec, region, [lift_weight([rep]), lift_weight([probe])], "sweep2d"
     )

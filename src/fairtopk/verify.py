@@ -19,9 +19,13 @@ import numpy as np
 from .core import (
     TIE_EPS,
     BudgetExceededError,
+    FairResult,
     UTILITY_LOSS,
+    W_DIFFERENCE,
     encode_profile,
     is_fair_counts,
+    utility_loss,
+    w_difference,
     weight_components,
 )
 
@@ -382,6 +386,37 @@ def reference_topk_utility(dataset, k, wo):
     """Utility of the unconstrained top-k under the reference weights."""
     decomp = decompose_topk(dataset, k, wo)
     return float(sum(decomp.scores[c] for c in decomp.order[:k]))
+
+
+def finish_result(dataset, k, spec, region, weights, engine):
+    """FairResult at the first candidate weight that verifies fair, or None.
+
+    Engines hand over their candidate weights in order of preference;
+    witness, value and utility are always recomputed here, so every engine
+    reports its numbers from this one code path.
+    """
+    wo = region.reference
+    for weight in weights:
+        if region.objective == W_DIFFERENCE:
+            witness = fair_topk_witness(dataset, k, spec, weight, W_DIFFERENCE, wo=wo)
+            if witness is None:
+                continue
+            util, value = None, w_difference(weight, wo)
+        else:
+            hit = max_fair_utility(dataset, k, spec, weight, wo)
+            if hit is None:
+                continue
+            witness, util = hit
+            value = utility_loss(util, reference_topk_utility(dataset, k, wo))
+        return FairResult(
+            weight=weight,
+            objective=region.objective,
+            value=value,
+            subset=tuple(sorted(witness)),
+            engine=engine,
+            utility=util,
+        )
+    return None
 
 
 def naive_verify_oracle(dataset, k, spec, w, budget=2_000_000):

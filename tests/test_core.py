@@ -147,10 +147,6 @@ class TestFairnessSpec:
         # bounds may legitimately exceed k
         FairnessSpec(lower=[2, 2], upper=[2, 2]).validate(2)
 
-    def test_clamped_caps_uppers_at_k(self):
-        spec = FairnessSpec(lower=[0], upper=[9]).clamped(3)
-        assert spec.upper == (3,)
-
     def test_vacuous_accepts_every_profile(self):
         spec = FairnessSpec.vacuous(2, 5)
         assert spec.lower == (0, 0)

@@ -1,0 +1,70 @@
+"""Every engine reports the numbers verify computes at its answer weight."""
+
+import numpy as np
+import pytest
+
+from fairtopk.core import (
+    UTILITY_LOSS,
+    W_DIFFERENCE,
+    WeightRegion,
+    WeightVector,
+    utility_loss,
+    w_difference,
+)
+from fairtopk.klevel import traverse
+from fairtopk.milp import build_milp, solve_milp
+from fairtopk.sweep2d import sweep_select
+from fairtopk.verify import fair_topk_witness, max_fair_utility, reference_topk_utility
+from conftest import tied_instance
+
+ENGINES = {
+    "sweep2d": sweep_select,
+    "klevel": traverse,
+    "milp": lambda data, k, spec, region: solve_milp(build_milp(data, k, spec, region)),
+}
+
+
+def assert_recomputed(data, k, spec, region, res):
+    """value and subset equal verify's answer at res.weight, bit for bit."""
+    wo = region.reference
+    if region.objective == W_DIFFERENCE:
+        witness = fair_topk_witness(data, k, spec, res.weight, W_DIFFERENCE, wo=wo)
+        assert res.value == w_difference(res.weight, wo)
+        assert res.utility is None
+    else:
+        witness, util = max_fair_utility(data, k, spec, res.weight, wo)
+        assert res.utility == util
+        assert res.value == utility_loss(util, reference_topk_utility(data, k, wo))
+    assert res.subset == tuple(sorted(witness))
+
+
+def seeded_cases(engine, objective):
+    rng = np.random.default_rng(311)
+    for _ in range(6):
+        d = 2 if engine == "sweep2d" else int(rng.integers(2, 4))
+        k = int(rng.integers(2, 4))
+        data, spec = tied_instance(rng, n=9, d=d, n_protected=2, k=k, dup_rate=0.3)
+        wo = WeightVector(tuple(rng.dirichlet(np.ones(d))))
+        yield data, k, spec, WeightRegion.box(wo, 0.2, objective=objective)
+
+
+@pytest.mark.parametrize("objective", [W_DIFFERENCE, UTILITY_LOSS])
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_worked_example_reports_recomputed_numbers(engine, objective, five_dataset, five_spec):
+    region = WeightRegion.box(WeightVector((0.5, 0.5)), 0.5, objective=objective)
+    res = ENGINES[engine](five_dataset, 2, five_spec, region)
+    assert res.engine == engine and res.subset == (2, 4)
+    assert_recomputed(five_dataset, 2, five_spec, region, res)
+
+
+@pytest.mark.parametrize("objective", [W_DIFFERENCE, UTILITY_LOSS])
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_seeded_batch_reports_recomputed_numbers(engine, objective):
+    solved = 0
+    for data, k, spec, region in seeded_cases(engine, objective):
+        res = ENGINES[engine](data, k, spec, region)
+        if res is None:
+            continue
+        solved += 1
+        assert_recomputed(data, k, spec, region, res)
+    assert solved >= 2

@@ -18,6 +18,7 @@ from fairtopk.core import (
     WeightRegion,
     WeightVector,
 )
+from fairtopk import pipeline
 from fairtopk.pipeline import (
     BENCH_COLUMNS,
     KLEVEL_BASE_K,
@@ -219,6 +220,14 @@ class TestPreprocess:
         data, _ = tied_instance(rng, n=14, k=3)
         assert kskyband(data, len(data)).ids == data.ids
 
+    def test_kskyband_keeps_ties_at_boundary_weights(self):
+        # w = (1, 0) ties both points; only the protected one makes k=1 fair
+        data = Dataset([Candidate(0, (1.0, 0.5), set()), Candidate(1, (1.0, 0.2), {0})])
+        spec = FairnessSpec(lower=[1], upper=[1])
+        w = WeightVector((1.0, 0.0))
+        assert verify_fair(data, 1, spec, w)
+        assert verify_fair(kskyband(data, 1), 1, spec, w)
+
     def test_kskyband_preserves_topk_scores(self):
         rng = np.random.default_rng(19)
         for _ in range(25):
@@ -367,6 +376,25 @@ class TestSelectDriver:
         data = load_csv(write_five_csv(tmp_path / "t.csv"), protected=("blue",))
         cfg = five_config(protected=[("blue", 1.0, 1.0)])
         assert select(data, cfg) is None
+
+    def test_fair_reference_skips_the_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search ran although the reference is fair")
+
+        monkeypatch.setattr(pipeline, "solve_milp", refuse)
+        cands = [
+            Candidate(0, (0.9, 0.8, 0.7), {0}),
+            Candidate(1, (0.6, 0.5, 0.4), set()),
+            Candidate(2, (0.3, 0.2, 0.1), {0}),
+            Candidate(3, (0.2, 0.3, 0.2), set()),
+        ]
+        data = Dataset(cands, group_names=("P0",))
+        cfg = RunConfig(k=2, epsilon=0.1, engine="milp", protected=[("P0", 0.5, 1.0)])
+        result = select(data, cfg)
+        assert result.engine == "milp"
+        assert result.weight == WeightVector((1 / 3, 1 / 3, 1 / 3))
+        assert result.value == 0.0
+        assert result.subset == (0, 1)
 
     def test_sweep_engine_needs_two_attributes(self):
         rng = np.random.default_rng(0)

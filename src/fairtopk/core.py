@@ -189,14 +189,7 @@ class WeightVector:
 
 def score(point, w):
     """Linear score of one attribute vector under w."""
-    point = tuple(float(v) for v in point)
-    comps = weight_components(w, len(point))
-    return float(sum(p * c for p, c in zip(point, comps)))
-
-
-def utility(points, wo):
-    """Total score of a collection of attribute vectors under wo."""
-    return float(sum(score(p, wo) for p in points))
+    return float(np.dot(point, weight_components(w, len(point))))
 
 
 def subset_utility(dataset, ids, wo):

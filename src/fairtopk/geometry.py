@@ -138,11 +138,11 @@ class LpOutcome:
     value: float = None
 
 
-def solve_lp(problem, seed=0, simplex_above=SIMPLEX_ABOVE_VARS):
+def solve_lp(problem):
     """Route to the Seidel kernel for few variables, else to simplex."""
-    if problem.nvars > simplex_above:
+    if problem.nvars > SIMPLEX_ABOVE_VARS:
         return simplex_lp(problem)
-    return seidel_lp(problem, seed=seed)
+    return seidel_lp(problem)
 
 
 # ----------------------------------------------------------------------

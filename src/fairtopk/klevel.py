@@ -196,7 +196,7 @@ def _swap_feasible(ws, subset, c_out, c_in):
     problem = ws.swap_problem(new_subset)
     if problem is None:
         return None
-    out = solve_lp(problem, seed=0)
+    out = solve_lp(problem)
     if out.status != "optimal" or out.value <= CELL_TOL:
         return None
     return tuple(float(v) for v in out.x[: ws.d - 1])

@@ -46,7 +46,7 @@ class StableResult:
     box_radius: float
 
 
-def stable_weight_2d(dataset, k, subset, region, tol=TIE_EPS):
+def stable_weight_2d(dataset, k, subset, region):
     """Exact interval midpoint for two attributes.
 
     The cell is an interval of the first weight component; the stable
@@ -75,7 +75,7 @@ def stable_weight_2d(dataset, k, subset, region, tol=TIE_EPS):
             a = float(q_in[0] - q_out[0])
             b = r_in - r_out
             if abs(a) <= _ZERO_ROW:
-                if b < -tol:
+                if b < -TIE_EPS:
                     return None
                 continue
             bound = -b / a
@@ -83,13 +83,13 @@ def stable_weight_2d(dataset, k, subset, region, tol=TIE_EPS):
                 lo = max(lo, bound)
             else:
                 hi = min(hi, bound)
-    if lo > hi + tol:
+    if lo > hi + TIE_EPS:
         return None
     lo, hi = min(lo, hi), max(lo, hi)
     mid = 0.5 * (lo + hi)
     margin = 0.5 * (hi - lo)
-    if degenerate or margin <= tol:
-        if margin <= tol:
+    if degenerate or margin <= TIE_EPS:
+        if margin <= TIE_EPS:
             degenerate = True
         margin = 0.0
     return StableResult(
@@ -101,7 +101,7 @@ def stable_weight_2d(dataset, k, subset, region, tol=TIE_EPS):
     )
 
 
-def stable_weight_md(dataset, k, subset, region, tol=TIE_EPS):
+def stable_weight_md(dataset, k, subset, region):
     """Largest inscribed ball of the subset's cell, any dimension.
 
     Builds one LP over (projected weight, radius): every pairwise
@@ -130,7 +130,7 @@ def stable_weight_md(dataset, k, subset, region, tol=TIE_EPS):
             h = r_in - r_out
             norm = float(np.linalg.norm(g))
             if norm <= _ZERO_ROW:
-                if h < -tol:
+                if h < -TIE_EPS:
                     return None  # dominated everywhere, cell empty
                 continue
             a = np.zeros(nv)
@@ -155,12 +155,12 @@ def stable_weight_md(dataset, k, subset, region, tol=TIE_EPS):
     rows.append((a, ">=", 0.0))
     c = np.zeros(nv)
     c[d - 1] = 1.0
-    out = solve_lp(LpProblem(c, rows, "max"), seed=0)
+    out = solve_lp(LpProblem(c, rows, "max"))
     if out.status != "optimal":
         return None
     y = out.x[: d - 1]
     margin = max(0.0, float(out.value))
-    if margin <= tol:
+    if margin <= TIE_EPS:
         margin = 0.0
         degenerate = True
     max_l1 = 1.0
@@ -176,8 +176,8 @@ def stable_weight_md(dataset, k, subset, region, tol=TIE_EPS):
     )
 
 
-def stable_weight(dataset, k, subset, region, tol=TIE_EPS):
+def stable_weight(dataset, k, subset, region):
     """Dimension dispatch: exact interval code for d=2, the LP otherwise."""
     if dataset.d == 2:
-        return stable_weight_2d(dataset, k, subset, region, tol=tol)
-    return stable_weight_md(dataset, k, subset, region, tol=tol)
+        return stable_weight_2d(dataset, k, subset, region)
+    return stable_weight_md(dataset, k, subset, region)

@@ -156,24 +156,6 @@ class KineticTournament:
         return best
 
 
-@dataclass
-class SweepState:
-    """Current abscissa, top-set membership and per-group member counts."""
-
-    x: float
-    members: set
-    counts: list
-    group_map: dict
-
-    def apply_swap(self, out_owner, in_owner):
-        self.members.discard(out_owner)
-        self.members.add(in_owner)
-        for g in self.group_map.get(out_owner, ()):
-            self.counts[g] -= 1
-        for g in self.group_map.get(in_owner, ()):
-            self.counts[g] += 1
-
-
 @dataclass(frozen=True)
 class SweepEvent:
     x: float
@@ -193,21 +175,10 @@ def build_tournaments(dataset, k, x0):
 
     lines.sort(key=cmp_to_key(cmp))  # ascending: lowest line first
     bottom, top = lines[: len(lines) - k], lines[len(lines) - k:]
-    s1 = KineticTournament(top, "min", x0)
-    s2 = KineticTournament(bottom, "max", x0)
-    n_groups = len(dataset.group_names)
-    group_map = {c.cid: tuple(sorted(c.groups)) for c in dataset.candidates}
-    counts = [0] * n_groups
-    members = set()
-    for line in top:
-        members.add(line.owner)
-        for g in group_map[line.owner]:
-            counts[g] += 1
-    state = SweepState(x=float(x0), members=members, counts=counts, group_map=group_map)
-    return s1, s2, state
+    return KineticTournament(top, "min", x0), KineticTournament(bottom, "max", x0)
 
 
-def sweep_events(s1, s2, state, x_end):
+def sweep_events(s1, s2, x_end):
     """Yield membership exchanges while the sweep line moves to x_end.
 
     Internal tournament certificates are replayed silently; an event is
@@ -224,11 +195,9 @@ def sweep_events(s1, s2, state, x_end):
         if e > x_end or e == _INF:
             s1.advance(x_end)
             s2.advance(x_end)
-            state.x = x_end
             return
         s1.advance(e)
         s2.advance(e)
-        state.x = e
         swaps = []
         while True:
             r1, r2 = s1.root_line, s2.root_line
@@ -237,7 +206,6 @@ def sweep_events(s1, s2, state, x_end):
             slot1, slot2 = s1.root_slot, s2.root_slot
             s1.replace(slot1, r2)
             s2.replace(slot2, r1)
-            state.apply_swap(r1.owner, r2.owner)
             swaps.append((r1.owner, r2.owner))
         if swaps:
             yield SweepEvent(e, tuple(swaps))
@@ -264,8 +232,8 @@ def sweep_select(dataset, k, spec, region):
     wo_x = wo[0]
     objective = region.objective
 
-    s1, s2, state = build_tournaments(dataset, k, lb)
-    events = sweep_events(s1, s2, state, ub)
+    s1, s2 = build_tournaments(dataset, k, lb)
+    events = sweep_events(s1, s2, ub)
 
     def positions():
         yield ("point", lb, lb)

@@ -23,7 +23,9 @@ from .core import (
     UTILITY_LOSS,
     W_DIFFERENCE,
     encode_profile,
+    group_counts,
     is_fair_counts,
+    subset_utility,
     utility_loss,
     w_difference,
     weight_components,
@@ -47,14 +49,13 @@ class TieDecomposition:
     pivot: int
     pivot_score: float
     slack: int
-    scores: dict
 
     @property
     def tied(self):
         return self.tied_in + self.tied_out
 
 
-def decompose_topk(dataset, k, w, tol=TIE_EPS):
+def decompose_topk(dataset, k, w):
     """Deterministic tie decomposition of the top-k cut under w."""
     n = len(dataset)
     if not 1 <= k <= n:
@@ -65,8 +66,8 @@ def decompose_topk(dataset, k, w, tol=TIE_EPS):
     order = ids[perm]
     ordered_scores = scores[perm]
     pivot_score = float(ordered_scores[k - 1])
-    above = ordered_scores > pivot_score + tol
-    in_band = np.abs(ordered_scores - pivot_score) <= tol
+    above = ordered_scores > pivot_score + TIE_EPS
+    in_band = np.abs(ordered_scores - pivot_score) <= TIE_EPS
     strict = order[:k][above[:k]]
     tied_in = order[:k][in_band[:k]]
     tied_out = order[k:][in_band[k:]]
@@ -78,7 +79,6 @@ def decompose_topk(dataset, k, w, tol=TIE_EPS):
         pivot=int(order[k - 1]),
         pivot_score=pivot_score,
         slack=int(len(tied_in)),
-        scores={int(i): float(s) for i, s in zip(order, ordered_scores)},
     )
 
 
@@ -101,11 +101,7 @@ class ProfileTally:
 
     @classmethod
     def from_decomposition(cls, dataset, decomp, n_protected, wo=None):
-        base = [0] * n_protected
-        for cid in decomp.strict:
-            for g in dataset.by_id(cid).groups:
-                if g < n_protected:
-                    base[g] += 1
+        base = group_counts(dataset, decomp.strict, n_protected)
         avail, members = {}, {}
         for cid in decomp.tied:
             code = encode_profile(dataset.by_id(cid).groups, n_protected)
@@ -114,24 +110,23 @@ class ProfileTally:
         prefix = None
         if wo is not None:
             wo_arr = np.asarray(weight_components(wo, dataset.d))
+            rows = [dataset._index_of(c) for c in decomp.tied]
+            ref = dict(zip(decomp.tied, (dataset.points[rows] @ wo_arr).tolist()))
             prefix = {}
             for code, cids in members.items():
-                scored = sorted(
-                    cids,
-                    key=lambda c: (-float(np.dot(dataset.by_id(c).point, wo_arr)), c),
-                )
+                scored = sorted(cids, key=lambda c: (-ref[c], c))
                 members[code] = scored
                 sums = [0.0]
                 for c in scored:
-                    sums.append(sums[-1] + float(np.dot(dataset.by_id(c).point, wo_arr)))
+                    sums.append(sums[-1] + ref[c])
                 prefix[code] = tuple(sums)
         else:
             for code in members:
                 members[code] = sorted(members[code])
         return cls(
             n_protected=n_protected,
-            base=tuple(base),
-            avail=dict(avail),
+            base=base,
+            avail=avail,
             prefix=prefix,
             members=members,
         )
@@ -164,14 +159,15 @@ def _profile_groups(code):
     return groups
 
 
-def _search(tally, slack, spec, mode, stats=None):
+def _search(tally, slack, spec, best=False, stats=None):
     """Enumerate per-profile seat counts summing to slack.
 
-    mode "exists" stops at the first fair leaf, "first" returns its
-    assignment, "best" scans every fair leaf and keeps the one with the
-    largest tied-part utility.  Branches die early when a group already
-    exceeds its upper bound (counts only grow) or when the seats still to
-    place cannot lift every group to its lower bound.
+    By default the first fair assignment is returned; with best every fair
+    leaf is scanned and (assignment, tied-part utility) of the largest
+    utility comes back.  None means no assignment is fair.  Branches die
+    early when a group already exceeds its upper bound (counts only grow)
+    or when the seats still to place cannot lift every group to its lower
+    bound.
     """
     if stats is None:
         stats = SearchStats()
@@ -207,7 +203,6 @@ def _search(tally, slack, spec, mode, stats=None):
                 return False
         return True
 
-    # iterative depth-first walk; frames carry (depth, remaining, next m)
     assign = [0] * n_profiles
 
     def walk(i, remaining):
@@ -221,14 +216,11 @@ def _search(tally, slack, spec, mode, stats=None):
             stats.leaves += 1
             if all(lower[g] <= counts[g] <= upper[g] for g in range(spec.n_protected)):
                 taken = {profiles[j]: assign[j] for j in range(i) if assign[j]}
-                if mode == "best":
-                    util = sum(
-                        tally.prefix[p][m] for p, m in taken.items()
-                    )
-                    if util > best_util + 1e-15:
-                        best_util, best_assign = util, taken
-                    return None
-                return taken
+                if not best:
+                    return taken
+                util = sum(tally.prefix[p][m] for p, m in taken.items())
+                if util > best_util + 1e-15:
+                    best_util, best_assign = util, taken
             return None
         hi = min(avail[i], remaining)
         lo = max(0, remaining - suffix[i + 1])
@@ -240,55 +232,29 @@ def _search(tally, slack, spec, mode, stats=None):
             for g in groups_of[i]:
                 counts[g] -= m
             assign[i] = 0
-            if hit is not None and mode != "best":
+            if hit is not None:
                 return hit
         return None
 
     hit = walk(0, slack)
-    if mode == "best":
-        if best_assign is None:
-            return None
-        return best_assign, best_util
+    if best:
+        return None if best_assign is None else (best_assign, best_util)
     return hit
 
 
 def backtrack_tiebreak(tally, slack, spec, stats=None):
     """Does any distribution of the tied seats satisfy every bound."""
-    return _search(tally, slack, spec, "exists", stats) is not None
+    return _search(tally, slack, spec, stats=stats) is not None
 
 
 def max_utility_tiebreak(tally, slack, spec, wo, stats=None):
     """Best reference-weight utility over fair tied-seat assignments.
 
     Returns (assignment, tied_utility) or None when no assignment is fair.
-    With a single protected group the scan collapses to choosing how many
-    in-group seats to take, evaluated directly over prefix sums.
     """
     if tally.prefix is None:
         raise ValueError("tally was built without a reference weight")
-    if spec.n_protected <= 1:
-        in_code, out_code = 1, 0
-        a_in = tally.avail.get(in_code, 0)
-        a_out = tally.avail.get(out_code, 0)
-        base = tally.base[0] if spec.n_protected else 0
-        lo_m = max(0, slack - a_out)
-        hi_m = min(slack, a_in)
-        if spec.n_protected:
-            lo_m = max(lo_m, spec.lower[0] - base)
-            hi_m = min(hi_m, spec.upper[0] - base)
-        best = None
-        zero = (0.0,)
-        for m in range(lo_m, hi_m + 1):
-            util = tally.prefix.get(in_code, zero)[m] + tally.prefix.get(out_code, zero)[slack - m]
-            if best is None or util > best[1] + 1e-15:
-                assign = {}
-                if m:
-                    assign[in_code] = m
-                if slack - m:
-                    assign[out_code] = slack - m
-                best = (assign, util)
-        return best
-    return _search(tally, slack, spec, "best", stats)
+    return _search(tally, slack, spec, best=True, stats=stats)
 
 
 def _group_interval_prune(tally, slack, spec):
@@ -306,54 +272,56 @@ def _group_interval_prune(tally, slack, spec):
     return True
 
 
-def verify_fair(dataset, k, spec, w, stats=None):
-    """Is some top-k subset under w inside every group-count interval."""
+def _resolve(dataset, k, spec, w, search, wo=None):
+    """The one tie-resolution path: (decomp, tally, hit), or None if unfair.
+
+    Validates, decomposes the top-k cut under w, tallies the tied part by
+    profile (with reference prefix sums when wo is given) and settles the
+    cases without open seats or with a failed reach test.  Only then is
+    search(tally, slack) called; a falsy result means no fair assignment.
+    hit is None when the strict part fills every seat.
+    """
     spec.validate(k)
     decomp = decompose_topk(dataset, k, w)
-    tally = ProfileTally.from_decomposition(dataset, decomp, spec.n_protected)
-    if spec.n_protected == 0:
-        return True
+    tally = ProfileTally.from_decomposition(dataset, decomp, spec.n_protected, wo=wo)
     if decomp.slack == 0:
-        return is_fair_counts(tally.base, spec)
+        return (decomp, tally, None) if is_fair_counts(tally.base, spec) else None
     if not _group_interval_prune(tally, decomp.slack, spec):
-        return False
-    if spec.n_protected == 1:
-        return True  # the interval test above is exact for one group
-    return backtrack_tiebreak(tally, decomp.slack, spec, stats)
+        return None
+    hit = search(tally, decomp.slack)
+    return (decomp, tally, hit) if hit else None
 
 
-def _materialize(tally, strict, assignment):
-    chosen = list(strict)
-    for code, m in assignment.items():
+def _materialize(decomp, tally, assignment):
+    chosen = list(decomp.strict)
+    for code, m in (assignment or {}).items():
         chosen.extend(tally.members[code][:m])
     return tuple(sorted(chosen))
+
+
+def verify_fair(dataset, k, spec, w):
+    """Is some top-k subset under w inside every group-count interval."""
+    def search(tally, slack):
+        # the reach test is exact for at most one group
+        return spec.n_protected <= 1 or backtrack_tiebreak(tally, slack, spec)
+
+    return _resolve(dataset, k, spec, w, search) is not None
 
 
 def fair_topk_witness(dataset, k, spec, w, objective=UTILITY_LOSS, wo=None):
     """A concrete fair top-k subset under w, or None.
 
-    Under the utility objective the tied seats go to a fair assignment
-    maximizing reference-weight utility; otherwise any fair assignment is
-    returned.  wo defaults to w itself.
+    Under the utility objective with a reference weight wo the tied seats
+    go to a fair assignment maximizing wo-utility (max_fair_utility's
+    witness).  Otherwise the first fair assignment found is returned, with
+    tied candidates of one profile taken in id order: without wo every
+    tied seat is worth the same under w itself.
     """
-    spec.validate(k)
-    if wo is None:
-        wo = weight_components(w, dataset.d)
-    decomp = decompose_topk(dataset, k, w)
-    tally = ProfileTally.from_decomposition(dataset, decomp, spec.n_protected, wo=wo)
-    if decomp.slack == 0:
-        return decomp.strict if is_fair_counts(tally.base, spec) else None
-    if not _group_interval_prune(tally, decomp.slack, spec):
-        return None
-    if objective == UTILITY_LOSS or spec.n_protected <= 1:
-        hit = max_utility_tiebreak(tally, decomp.slack, spec, wo)
-        if hit is None:
-            return None
-        return _materialize(tally, decomp.strict, hit[0])
-    hit = _search(tally, decomp.slack, spec, "first")
-    if hit is None:
-        return None
-    return _materialize(tally, decomp.strict, hit)
+    if objective == UTILITY_LOSS and wo is not None:
+        hit = max_fair_utility(dataset, k, spec, w, wo)
+        return None if hit is None else hit[0]
+    found = _resolve(dataset, k, spec, w, lambda tally, slack: _search(tally, slack, spec))
+    return None if found is None else _materialize(*found)
 
 
 def max_fair_utility(dataset, k, spec, w, wo):
@@ -362,30 +330,21 @@ def max_fair_utility(dataset, k, spec, w, wo):
     Returns None when w is unfair.  The strict part contributes its full
     utility; the tied seats are assigned by max_utility_tiebreak.
     """
-    spec.validate(k)
-    decomp = decompose_topk(dataset, k, w)
-    tally = ProfileTally.from_decomposition(dataset, decomp, spec.n_protected, wo=wo)
-    wo_arr = np.asarray(weight_components(wo, dataset.d))
-    strict_util = float(
-        sum(np.dot(dataset.by_id(c).point, wo_arr) for c in decomp.strict)
-    )
-    if decomp.slack == 0:
-        if is_fair_counts(tally.base, spec):
-            return decomp.strict, strict_util
+    def search(tally, slack):
+        return max_utility_tiebreak(tally, slack, spec, wo)
+
+    found = _resolve(dataset, k, spec, w, search, wo=wo)
+    if found is None:
         return None
-    if not _group_interval_prune(tally, decomp.slack, spec):
-        return None
-    hit = max_utility_tiebreak(tally, decomp.slack, spec, wo)
-    if hit is None:
-        return None
-    assignment, tied_util = hit
-    return _materialize(tally, decomp.strict, assignment), strict_util + tied_util
+    decomp, tally, hit = found
+    assignment, tied_util = hit or ({}, 0.0)
+    strict_util = subset_utility(dataset, decomp.strict, wo)
+    return _materialize(decomp, tally, assignment), strict_util + tied_util
 
 
 def reference_topk_utility(dataset, k, wo):
     """Utility of the unconstrained top-k under the reference weights."""
-    decomp = decompose_topk(dataset, k, wo)
-    return float(sum(decomp.scores[c] for c in decomp.order[:k]))
+    return float(sum(np.sort(dataset.scores(wo))[::-1][:k]))
 
 
 def finish_result(dataset, k, spec, region, weights, engine):
@@ -398,7 +357,7 @@ def finish_result(dataset, k, spec, region, weights, engine):
     wo = region.reference
     for weight in weights:
         if region.objective == W_DIFFERENCE:
-            witness = fair_topk_witness(dataset, k, spec, weight, W_DIFFERENCE, wo=wo)
+            witness = fair_topk_witness(dataset, k, spec, weight, W_DIFFERENCE)
             if witness is None:
                 continue
             util, value = None, w_difference(weight, wo)

@@ -90,13 +90,13 @@ class TestKineticTournament:
 
 class TestSweepEvents:
     def test_events_on_worked_example(self, five_dataset):
-        s1, s2, state = build_tournaments(five_dataset, 2, 0.5)
+        s1, s2 = build_tournaments(five_dataset, 2, 0.5)
         assert {l.owner for l in s1.leaves()} == {1, 4}
-        events = list(sweep_events(s1, s2, state, 0.62))
+        events = list(sweep_events(s1, s2, 0.62))
         assert_allclose([ev.x for ev in events], [5 / 9, 3 / 5], atol=1e-12)
         assert events[0].swaps == ((1, 2),)
         assert events[1].swaps == ((2, 3),)
-        assert state.members == {3, 4}
+        assert {l.owner for l in s1.leaves()} == {3, 4}
 
     def test_membership_matches_direct_sort_at_stops(self):
         rng = np.random.default_rng(37)
@@ -104,16 +104,16 @@ class TestSweepEvents:
             data, _ = tied_instance(rng, n=14, dup_rate=0.3)
             k = int(rng.integers(1, 8))
             stops = sorted(float(x) for x in rng.uniform(0.0, 1.0, size=6)) + [1.0]
-            s1, s2, state = build_tournaments(data, k, 0.0)
+            s1, s2 = build_tournaments(data, k, 0.0)
             for stop in stops:
-                for _ in sweep_events(s1, s2, state, stop):
+                for _ in sweep_events(s1, s2, stop):
                     pass
                 # scores just after the stop decide membership; equal scores
                 # make several top-k sets valid, so compare score multisets
                 probe = min(stop + 1e-7, 1.0)
                 scores = data.points @ np.array([probe, 1.0 - probe])
                 member_scores = sorted(
-                    (float(scores[data._index_of(c)]) for c in state.members),
+                    (float(scores[data._index_of(l.owner)]) for l in s1.leaves()),
                     reverse=True,
                 )
                 all_scores = sorted((float(s) for s in scores), reverse=True)
@@ -128,12 +128,12 @@ class TestSweepEvents:
             Candidate(3, (0.25, 0.75), set()),
         ]
         data = Dataset(cands)
-        s1, s2, state = build_tournaments(data, 2, 0.4)
-        assert state.members == {2, 3}
-        events = list(sweep_events(s1, s2, state, 0.6))
+        s1, s2 = build_tournaments(data, 2, 0.4)
+        assert {l.owner for l in s1.leaves()} == {2, 3}
+        events = list(sweep_events(s1, s2, 0.6))
         assert len(events) == 1
         assert_allclose(events[0].x, 0.5, atol=1e-12)
-        assert state.members == {0, 1}
+        assert {l.owner for l in s1.leaves()} == {0, 1}
 
 
 def brute_positions_best(data, k, spec, region, n_grid=2000):

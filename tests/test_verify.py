@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fairtopk import verify
 from fairtopk.core import (
     BudgetExceededError,
     Candidate,
     Dataset,
     FairnessSpec,
+    UTILITY_LOSS,
     WeightVector,
     group_counts,
     is_fair_counts,
@@ -56,7 +58,7 @@ class TestDecompose:
             assert len(decomp.strict) + decomp.slack == k
             assert not set(decomp.strict) & set(decomp.tied)
             assert decomp.pivot == decomp.order[k - 1]
-            scores = decomp.scores
+            scores = dict(zip(data.ids, data.scores(w)))
             for c in decomp.strict:
                 assert scores[c] > decomp.pivot_score + 1e-9
             for c in decomp.tied:
@@ -204,7 +206,7 @@ class TestMaxUtilityTiebreak:
         rng = np.random.default_rng(109)
         compared = 0
         for trial in range(150):
-            n_protected = int(rng.integers(1, 4))
+            n_protected = int(rng.integers(0, 4))
             k = int(rng.integers(2, 8))
             data, spec = tied_instance(rng, n=14, n_protected=n_protected, k=k, dup_rate=0.7)
             w = WeightVector(tuple(rng.dirichlet(np.ones(2))))
@@ -226,6 +228,26 @@ class TestMaxUtilityTiebreak:
         tally = ProfileTally.from_decomposition(five_dataset, decomp, 1, wo=wo_half)
         hit = max_utility_tiebreak(tally, decomp.slack, five_spec, wo_half)
         assert hit is None, "cut {4,0}+{1} has no protected candidate available"
+
+    def test_utility_witness_without_reference_skips_the_scan(self, monkeypatch):
+        # every candidate ties, so all tied seats are worth the same under w
+        # and the first fair assignment is as good as the best one
+        def refuse(*args, **kwargs):
+            raise AssertionError("best-utility scan run without a reference weight")
+
+        monkeypatch.setattr(verify, "max_utility_tiebreak", refuse)
+        rng = np.random.default_rng(10)
+        n, k, n_protected = 40, 14, 6
+        data = Dataset(
+            Candidate(i, (0.5, 0.5), set(np.nonzero(rng.random(n_protected) < 0.4)[0].tolist()))
+            for i in range(n)
+        )
+        pick = rng.choice(n, size=k, replace=False).tolist()
+        counts = group_counts(data, pick, n_protected)
+        spec = FairnessSpec([max(0, c - 1) for c in counts], [min(k, c + 1) for c in counts])
+        witness = fair_topk_witness(data, k, spec, WeightVector((0.5, 0.5)), UTILITY_LOSS)
+        assert witness is not None and len(witness) == k
+        assert is_fair_counts(group_counts(data, witness, n_protected), spec)
 
 
 class TestWorkedExample:

@@ -48,7 +48,7 @@ class LpStallError(FairTopkError):
     """The simplex solver hit its pivot budget without converging."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     cid: int
     point: tuple
@@ -56,7 +56,10 @@ class Candidate:
 
     def __post_init__(self):
         object.__setattr__(self, "point", tuple(float(v) for v in self.point))
-        object.__setattr__(self, "groups", frozenset(int(g) for g in self.groups))
+        groups = self.groups
+        # a frozenset of plain ints is kept as given, so loaders can share one
+        if type(groups) is not frozenset or any(type(g) is not int for g in groups):
+            object.__setattr__(self, "groups", frozenset(int(g) for g in groups))
         for v in self.point:
             if not math.isfinite(v):
                 raise DataFormatError(f"candidate {self.cid} has non-finite attribute {v}")
@@ -81,6 +84,9 @@ class Dataset:
             seen.add(c.cid)
         self.candidates = candidates
         self.d = d
+        self.ids = tuple(c.cid for c in candidates)
+        self.id_array = np.array(self.ids)
+        self.id_array.setflags(write=False)
         max_group = max((g for c in candidates for g in c.groups), default=-1)
         if group_names is None:
             group_names = tuple(f"G{j}" for j in range(max_group + 1))
@@ -103,10 +109,6 @@ class Dataset:
     def points(self):
         """(n, d) float array in candidate order."""
         return self._points
-
-    @property
-    def ids(self):
-        return tuple(c.cid for c in self.candidates)
 
     def by_id(self, cid):
         try:

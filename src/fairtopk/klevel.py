@@ -78,7 +78,7 @@ class _Workspace:
         self.band = ~(self.sure_in | self.sure_out)
         self.Q = pts[:, :-1] - pts[:, -1:]
         self.r = pts[:, -1].copy()
-        self.ids = np.asarray(dataset.ids)
+        self.ids = dataset.id_array
         self.pos = {cid: i for i, cid in enumerate(dataset.ids)}
         self.region_rows = [project_halfspace(c, o) for c, o in region.halfspaces]
         # duplicate-point classes for canonical subset keys

@@ -278,7 +278,7 @@ def solve_milp(model, node_budget=DEFAULT_NODE_BUDGET, reduce_band=True):
                     heap, _Node(sense * out.value, node.depth, serial, node.fixings)
                 )
             continue
-        order = np.lexsort((np.asarray(model.dataset.ids), -frac))
+        order = np.lexsort((model.dataset.id_array, -frac))
         pick = int(order[0])
         idx = model.binaries[pick]
         for val in (1.0, 0.0):

@@ -121,6 +121,7 @@ def load_csv(path, protected=()):
     name_to_id = {str(name): i for i, name in enumerate(protected)}
     names = list(name_to_id)
     cands = []
+    group_sets = {}  # one shared frozenset per distinct membership
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -154,6 +155,8 @@ def load_csv(path, protected=()):
                         names.append(name)
                     groups.add(name_to_id[name])
                     seen_names.add(name)
+            groups = frozenset(groups)
+            groups = group_sets.setdefault(groups, groups)
             cands.append(Candidate(cid=cid, point=point, groups=groups))
     missing = [name for name in protected if name not in seen_names]
     if missing:
@@ -252,7 +255,12 @@ def sample_unfair(dataset, k, spec, count, seed, tried_budget=100_000):
 # ----------------------------------------------------------------------
 
 def reorder_protected(dataset, names):
-    """Dataset copy whose group ids put the named groups first, in order."""
+    """Dataset whose group ids put the named groups first, in order.
+
+    The dataset itself comes back when its names already start that way.
+    """
+    if dataset.group_names[: len(names)] == tuple(names):
+        return dataset
     current = list(dataset.group_names)
     for name in names:
         if name not in current:

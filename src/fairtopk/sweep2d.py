@@ -4,8 +4,11 @@ With d = 2 every weight is (x, 1-x) and every candidate becomes a dual
 line over x.  The top-k subset changes only where a line from the bottom
 set overtakes a line of the top set, so two kinetic tournament trees (the
 top set keyed by its minimum, the bottom set by its maximum) drive the
-sweep from one exchange to the next.  Fairness at every visited position
-is delegated to the verify module, which owns tie handling.
+sweep from one exchange to the next.  Only the cutoff band (the lines in
+some but not every top-k over the interval, geometry.band_split) can take
+part in an exchange, so the trees hold the band lines alone.  Fairness at
+every visited position is delegated to the verify module, which owns tie
+handling and always sees the full dataset.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ import math
 from dataclasses import dataclass
 from functools import cmp_to_key
 
+import numpy as np
+
 from .core import W_DIFFERENCE
-from .geometry import dual_line, lift_weight, region_interval
+from .geometry import band_split, dual_line, lift_weight
 from .verify import finish_result, max_fair_utility, verify_fair
 
 _INF = math.inf
@@ -162,13 +167,19 @@ class SweepEvent:
     swaps: tuple  # ((out_owner, in_owner), ...)
 
 
-def build_tournaments(dataset, k, x0):
-    """Split the lines at x0 into the top-k min-tree and the rest max-tree."""
+def build_tournaments(dataset, k, x0, rows=None):
+    """Split the lines at x0 into the top-k min-tree and the rest max-tree.
+
+    rows picks the candidates whose lines the trees hold (all by default);
+    k counts the top-set members among them and may be 0 or all of them,
+    which leaves one tree empty.
+    """
     if dataset.d != 2:
         raise ValueError("the sweep engine needs two attributes")
-    if not 1 <= k <= len(dataset):
-        raise ValueError(f"k={k} outside 1..{len(dataset)}")
-    lines = [dual_line(c.cid, c.point) for c in dataset.candidates]
+    cands = dataset.candidates if rows is None else [dataset.candidates[i] for i in rows]
+    if not 0 <= k <= len(cands):
+        raise ValueError(f"k={k} outside 0..{len(cands)}")
+    lines = [dual_line(c.cid, c.point) for c in cands]
 
     def cmp(a, b):
         return -1 if line_above(b, a, x0) else 1
@@ -222,17 +233,22 @@ def sweep_select(dataset, k, spec, region):
     first fair position at or beyond it settles the right side.
     """
     spec.validate(k)
-    if region.d != 2:
-        raise ValueError("sweep_select needs a 2-d region")
-    interval = region_interval(region)
-    if interval is None:
+    if region.d != 2 or dataset.d != 2:
+        raise ValueError("the sweep engine needs two attributes")
+    if not 1 <= k <= len(dataset):
+        raise ValueError(f"k={k} outside 1..{len(dataset)}")
+    verts, sure_in, sure_out, _, _ = band_split(dataset.points, k, region)
+    if not len(verts):
         return None
-    lb, ub = interval
+    lb, ub = float(verts[0, 0]), float(verts[-1, 0])
     wo = region.reference
     wo_x = wo[0]
     objective = region.objective
 
-    s1, s2 = build_tournaments(dataset, k, lb)
+    # lines sure in (out of) every top-k over [lb, ub] clear the cutoff by
+    # more than TIE_EPS everywhere, so every exchange is between band lines
+    band = np.flatnonzero(~(sure_in | sure_out))
+    s1, s2 = build_tournaments(dataset, k - int(sure_in.sum()), lb, band)
     events = sweep_events(s1, s2, ub)
 
     def positions():

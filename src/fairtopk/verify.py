@@ -36,10 +36,10 @@ from .core import (
 class TieDecomposition:
     """Top-k cut of the score order with the tie band made explicit.
 
-    order is every candidate id sorted by (score desc, id asc); the first k
-    entries are the canonical top-k subset.  strict holds the ids scoring
-    strictly above the pivot band, tied_in the remaining members of the
-    canonical top-k, tied_out the non-members inside the band.
+    order is the canonical top-k subset, its ids sorted by (score desc,
+    id asc).  strict holds the ids scoring strictly above the pivot band,
+    tied_in the remaining members of the canonical top-k, tied_out the
+    non-members inside the band; each is in that same order.
     """
 
     order: tuple
@@ -56,30 +56,35 @@ class TieDecomposition:
 
 
 def decompose_topk(dataset, k, w):
-    """Deterministic tie decomposition of the top-k cut under w."""
+    """Deterministic tie decomposition of the top-k cut under w.
+
+    Linear in n: the pivot score comes from a partition, and only the
+    strict part and the tie band are sorted.
+    """
     n = len(dataset)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside 1..{n}")
     scores = dataset.scores(w)
-    ids = np.asarray(dataset.ids)
-    perm = np.lexsort((ids, -scores))
-    order = ids[perm]
-    ordered_scores = scores[perm]
-    pivot_score = float(ordered_scores[k - 1])
-    above = ordered_scores > pivot_score + TIE_EPS
-    in_band = np.abs(ordered_scores - pivot_score) <= TIE_EPS
-    strict = order[:k][above[:k]]
-    tied_in = order[:k][in_band[:k]]
-    tied_out = order[k:][in_band[k:]]
+    pivot_score = float(np.partition(scores, n - k)[n - k])
+    strict = _ranked(dataset, scores, np.flatnonzero(scores > pivot_score + TIE_EPS))
+    band = _ranked(dataset, scores, np.flatnonzero(np.abs(scores - pivot_score) <= TIE_EPS))
+    order = strict + band[: k - len(strict)]
     return TieDecomposition(
-        order=tuple(int(i) for i in order),
-        strict=tuple(int(i) for i in strict),
-        tied_in=tuple(int(i) for i in tied_in),
-        tied_out=tuple(int(i) for i in tied_out),
-        pivot=int(order[k - 1]),
+        order=order,
+        strict=strict,
+        tied_in=order[len(strict):],
+        tied_out=band[k - len(strict):],
+        pivot=order[-1],
         pivot_score=pivot_score,
-        slack=int(len(tied_in)),
+        slack=k - len(strict),
     )
+
+
+def _ranked(dataset, scores, rows):
+    """Ids at rows sorted by (score desc, id asc)."""
+    ids = dataset.ids
+    perm = np.lexsort((dataset.id_array[rows], -scores[rows]))
+    return tuple(ids[i] for i in rows[perm].tolist())
 
 
 @dataclass

@@ -33,6 +33,20 @@ class TestCandidateDataset:
         with pytest.raises(DataFormatError):
             Dataset(cands)
 
+    def test_groups_normalize_to_plain_ints(self):
+        c = Candidate(0, (0.1, 0.2), (1.0, 2))
+        assert c.groups == frozenset({1, 2})
+        assert all(type(g) is int for g in c.groups)
+        for groups in ([np.int64(3)], frozenset({np.int64(3)})):
+            c = Candidate(1, (0.1, 0.2), groups)
+            assert c.groups == {3} and all(type(g) is int for g in c.groups)
+
+    def test_int_frozenset_kept_as_given(self):
+        groups = frozenset({0, 2})
+        c = Candidate(0, (0.1, 0.2), groups)
+        assert c.groups is groups
+        assert not hasattr(c, "__dict__")
+
     def test_points_matrix_matches_candidates(self, five_dataset):
         pts = five_dataset.points
         assert pts.shape == (5, 2)

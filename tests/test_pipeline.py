@@ -143,6 +143,18 @@ class TestCsvRoundTrip:
         assert data.by_id(5).groups == {0}
         assert data.by_id(2).groups == {1}
 
+    def test_equal_memberships_share_one_group_set(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "id,attr1,attr2,groups\n0,0.1,0.2,a|b\n1,0.3,0.4,b|a\n2,0.5,0.6,a\n"
+            "3,0.7,0.8,\n4,0.9,0.1,\n"
+        )
+        data = load_csv(path, protected=("a",))
+        c = data.candidates
+        assert c[0].groups is c[1].groups
+        assert c[3].groups is c[4].groups
+        assert c[0].groups == {0, 1} and c[2].groups == {0} and c[3].groups == set()
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("id,attr1,attr2,groups\n\n0,0.1,0.2,\n   \n1,0.3,0.4,a\n")
@@ -283,6 +295,13 @@ class TestReorderProtected:
         assert out.by_id(0).groups == {1}
         assert out.by_id(1).groups == {0, 2}
         assert out.by_id(2).groups == {0}
+
+    def test_leading_names_return_the_dataset_itself(self):
+        cands = [Candidate(0, (0.1, 0.2), {0}), Candidate(1, (0.3, 0.4), {1, 2})]
+        data = Dataset(cands, group_names=("a", "b", "c"))
+        assert reorder_protected(data, ["a", "b"]) is data
+        assert reorder_protected(data, ("a",)) is data
+        assert reorder_protected(data, ["b"]) is not data
 
     def test_missing_name_rejected(self, five_dataset):
         with pytest.raises(DataFormatError, match="ghost"):

@@ -13,7 +13,8 @@ from fairtopk.core import (
     UTILITY_LOSS,
     W_DIFFERENCE,
 )
-from fairtopk.geometry import dual_line
+from fairtopk import sweep2d
+from fairtopk.geometry import band_split, dual_line
 from fairtopk.sweep2d import (
     KineticTournament,
     build_tournaments,
@@ -238,3 +239,113 @@ class TestSweepSelect:
                 # the grid evaluates a position subset, so it upper-bounds
                 assert res.value <= ref + 1e-9, f"trial {trial}: {res.value} > grid {ref}"
         assert solved > 25
+
+
+def grid_instance(rng, n, n_protected=2):
+    """Points on a 1/8 grid: duplicates, equal slopes, concurrent crossings."""
+    pts = rng.integers(0, 9, size=(n, 2)) / 8.0
+    cands = [
+        Candidate(i, tuple(p), {j for j in range(n_protected) if rng.random() < 0.45})
+        for i, p in enumerate(pts)
+    ]
+    return Dataset(cands)
+
+
+def event_trace(data, k, region, band_only):
+    """(x, swaps) of every exchange over the region's interval."""
+    verts, sure_in, sure_out, _, _ = band_split(data.points, k, region)
+    lb, ub = float(verts[0, 0]), float(verts[-1, 0])
+    if band_only:
+        rows = np.flatnonzero(~(sure_in | sure_out))
+        s1, s2 = build_tournaments(data, k - int(sure_in.sum()), lb, rows)
+    else:
+        s1, s2 = build_tournaments(data, k, lb)
+    return [(ev.x, ev.swaps) for ev in sweep_events(s1, s2, ub)]
+
+
+def separated_instance(k, n):
+    """k lines far above a tangle of crossing lines: every seat sure-in."""
+    cands = [Candidate(i, (0.9 + 0.01 * i, 0.95 - 0.01 * i), set()) for i in range(k)]
+    cands += [
+        Candidate(k + i, (0.1 + 0.3 * (i % 2), 0.4 - 0.3 * (i % 2) + 0.01 * i), {0})
+        for i in range(n - k)
+    ]
+    return Dataset(cands)
+
+
+class TestBandSweep:
+    """Tournaments over the cutoff band replay the all-lines sweep exactly."""
+
+    def test_band_events_equal_all_line_events(self):
+        rng = np.random.default_rng(71)
+        nonempty = 0
+        for trial in range(300):
+            n = int(rng.integers(2, 40))
+            if trial % 2:
+                data = grid_instance(rng, n)
+            else:
+                data, _ = tied_instance(rng, n=n, dup_rate=float(rng.uniform(0, 0.6)))
+            k = int(rng.integers(1, n + 1))
+            wo = WeightVector(tuple(rng.dirichlet(np.ones(2))))
+            region = WeightRegion.box(wo, float(rng.uniform(0.05, 0.5)))
+            full = event_trace(data, k, region, band_only=False)
+            assert event_trace(data, k, region, band_only=True) == full, trial
+            nonempty += bool(full)
+        assert nonempty > 100
+
+    @pytest.mark.parametrize("n", [3, 4, 12])
+    def test_degenerate_bands(self, n):
+        # n == k, or k members (crossing each other at x = 0.5) above the rest:
+        # k' = 0 and no non-member in the band, so both trees are empty
+        data, k = separated_instance(3, n), 3
+        region = WeightRegion.box(WeightVector((0.5, 0.5)), 0.5)
+        _, sure_in, sure_out, _, _ = band_split(data.points, k, region)
+        band = np.flatnonzero(~(sure_in | sure_out))
+        assert int(sure_in.sum()) == k and len(band) == 0
+        s1, s2 = build_tournaments(data, 0, 0.0, band)
+        assert list(sweep_events(s1, s2, 1.0)) == []
+        assert event_trace(data, k, region, band_only=False) == []
+
+    def test_band_boundaries_accept_empty_trees(self, five_dataset):
+        for k, rows in ((0, [0, 1]), (2, [0, 1]), (0, [])):
+            s1, s2 = build_tournaments(five_dataset, k, 0.0, rows)
+            assert (len(s1), len(s2)) == (k, len(rows) - k)
+            assert list(sweep_events(s1, s2, 1.0)) == []
+        with pytest.raises(ValueError):
+            build_tournaments(five_dataset, 3, 0.0, [0, 1])
+
+    @pytest.mark.parametrize("objective", [W_DIFFERENCE, UTILITY_LOSS])
+    def test_results_equal_all_line_sweep(self, objective, monkeypatch):
+        rng = np.random.default_rng(83)
+        cases = []
+        for trial in range(40):
+            n_protected = int(rng.integers(1, 3))
+            n = int(rng.integers(8, 40))
+            k = int(rng.integers(2, min(n, 10)))
+            data, spec = tied_instance(
+                rng, n=n, n_protected=n_protected, k=k, dup_rate=float(rng.uniform(0, 0.5))
+            )
+            wo = WeightVector(tuple(rng.dirichlet(np.ones(2))))
+            region = WeightRegion.box(wo, float(rng.uniform(0.05, 0.4)), objective=objective)
+            cases.append((data, k, spec, region))
+        band = [sweep_select(*case) for case in cases]
+        split = [band_split(data.points, k, region) for data, k, _, region in cases]
+        assert sum(bool(s[1].any() or s[2].any()) for s in split) > 30
+
+        def no_sure_lines(points, k, region):
+            # every line in the band: the tournaments hold all n lines
+            none = np.zeros(len(points), dtype=bool)
+            return band_split(points, k, region)[0], none, none, None, None
+
+        monkeypatch.setattr(sweep2d, "band_split", no_sure_lines)
+        full = [sweep_select(*case) for case in cases]
+        assert sum(r is not None for r in full) > 20
+        for got, want in zip(band, full):
+            if want is None:
+                assert got is None
+                continue
+            assert got.weight == want.weight
+            assert got.value == want.value
+            assert got.subset == want.subset
+            assert got.utility == want.utility
+            assert got.engine == want.engine

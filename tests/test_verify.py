@@ -38,7 +38,7 @@ from conftest import tied_instance
 class TestDecompose:
     def test_five_candidate_cut(self, five_dataset, wo_half):
         decomp = decompose_topk(five_dataset, 2, wo_half)
-        assert decomp.order == (4, 0, 1, 2, 3)
+        assert decomp.order == (4, 0)
         assert decomp.strict == (4,)
         assert decomp.tied_in == (0,)
         assert decomp.tied_out == (1,)
@@ -53,19 +53,34 @@ class TestDecompose:
             k = int(rng.integers(1, 10))
             w = WeightVector(tuple(rng.dirichlet(np.ones(2))))
             decomp = decompose_topk(data, k, w)
-            topk = set(decomp.order[:k])
-            assert set(decomp.strict) | set(decomp.tied_in) == topk
+            scores = dict(zip(data.ids, data.scores(w)))
+            # reference: the full (score desc, id asc) order by one lexsort
+            ids = np.asarray(data.ids)
+            full = tuple(int(i) for i in ids[np.lexsort((ids, -data.scores(w)))])
+            assert decomp.order == full[:k]
+            assert decomp.pivot_score == scores[full[k - 1]]
+            assert decomp.tied_out == tuple(
+                c for c in full[k:] if abs(scores[c] - decomp.pivot_score) <= 1e-9
+            )
+            assert decomp.strict + decomp.tied_in == decomp.order
             assert len(decomp.strict) + decomp.slack == k
             assert not set(decomp.strict) & set(decomp.tied)
             assert decomp.pivot == decomp.order[k - 1]
-            scores = dict(zip(data.ids, data.scores(w)))
             for c in decomp.strict:
                 assert scores[c] > decomp.pivot_score + 1e-9
             for c in decomp.tied:
                 assert abs(scores[c] - decomp.pivot_score) <= 1e-9
-            for c in decomp.order[k:]:
-                if c not in decomp.tied_out:
-                    assert scores[c] < decomp.pivot_score - 1e-9
+            for c in set(data.ids) - set(decomp.order) - set(decomp.tied_out):
+                assert scores[c] < decomp.pivot_score - 1e-9
+
+    def test_ids_are_the_datasets_own(self):
+        rng = np.random.default_rng(5)
+        data, _ = tied_instance(rng, n=30, dup_rate=0.5)
+        # ids beyond the small-int cache, so identity means shared objects
+        data = Dataset(Candidate(10**9 + c.cid, c.point, c.groups) for c in data.candidates)
+        decomp = decompose_topk(data, 7, WeightVector((0.4, 0.6)))
+        own = {id(c) for c in data.ids}
+        assert all(id(c) in own for c in decomp.order + decomp.tied_out)
 
     def test_duplicate_points_share_the_band(self):
         cands = [Candidate(i, (0.5, 0.5), set()) for i in range(4)]

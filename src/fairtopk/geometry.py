@@ -463,6 +463,58 @@ def l1_envelope_rows(wo, nvars, phi):
     return rows
 
 
+def cell_min_wdiff(points, member, split, region):
+    """Closest region point (L1, to the reference) of a closed top-k cell.
+
+    member masks the rows of the subset to keep on top and split is
+    band_split's tuple: only band rows get a score row, the sure rows are
+    represented by the two cutoff rows.  Returns (weight, L1 value), the
+    weight on the simplex, or None when the cell misses the region.
+    """
+    _, sure_in, sure_out, lambda_hi, lambda_lo = split
+    d = points.shape[1]
+    wo = region.reference
+    nv = 2 * d + 1  # w (d), lambda, phi (d)
+    rows = []
+    for i in np.nonzero(~(sure_in | sure_out))[0]:
+        a = np.zeros(nv)
+        a[:d] = points[i]
+        a[d] = -1.0
+        rows.append((a, ">=" if member[i] else "<=", 0.0))
+    if lambda_hi is not None:
+        a = np.zeros(nv)
+        a[d] = 1.0
+        rows.append((a, "<=", lambda_hi))
+    if lambda_lo is not None:
+        a = np.zeros(nv)
+        a[d] = 1.0
+        rows.append((a, ">=", lambda_lo))
+    rows.extend(l1_envelope_rows(wo, nv, d + 1))
+    a = np.zeros(nv)
+    a[:d] = 1.0
+    rows.append((a, "=", 1.0))
+    for i in range(d):
+        a = np.zeros(nv)
+        a[i] = 1.0
+        rows.append((a, ">=", 0.0))
+    a = np.zeros(nv)
+    a[d] = 1.0
+    rows.append((a, ">=", 0.0))
+    rows.append((a.copy(), "<=", 1.0))
+    for coeffs, off in region.halfspaces:
+        a = np.zeros(nv)
+        a[:d] = coeffs
+        rows.append((a, ">=", -off))
+    c = np.zeros(nv)
+    c[d + 1:] = 1.0
+    out = simplex_lp(LpProblem(c, rows, "min"))
+    if out.status != "optimal":
+        return None
+    w = np.clip(out.x[:d], 0.0, None)
+    w = w / w.sum()
+    return tuple(float(v) for v in w), float(out.value)
+
+
 def hyperplane_side(coeffs, offset, points, tol=FEAS_TOL):
     """+1 or -1 when all points are strictly on one side, else 0."""
     if len(points) == 0:

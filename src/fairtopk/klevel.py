@@ -30,11 +30,10 @@ from .core import BudgetExceededError, UTILITY_LOSS, WeightVector
 from .geometry import (
     LpProblem,
     band_split,
+    cell_min_wdiff,
     hyperplane_side,
-    l1_envelope_rows,
     lift_weight,
     project_halfspace,
-    simplex_lp,
     simplex_rows_projected,
     solve_lp,
 )
@@ -72,9 +71,8 @@ class _Workspace:
         self.region = region
         self.d = dataset.d
         pts = dataset.points
-        self.verts, self.sure_in, self.sure_out, self.lambda_hi, self.lambda_lo = (
-            band_split(pts, k, region)
-        )
+        self.split = band_split(pts, k, region)
+        self.verts, self.sure_in, self.sure_out, self.lambda_hi, self.lambda_lo = self.split
         self.band = ~(self.sure_in | self.sure_out)
         self.Q = pts[:, :-1] - pts[:, -1:]
         self.r = pts[:, -1].copy()
@@ -202,58 +200,6 @@ def _swap_feasible(ws, subset, c_out, c_in):
     return tuple(float(v) for v in out.x[: ws.d - 1])
 
 
-def cell_min_wdiff(dataset, k, subset, region):
-    """Closest region point (L1, to the reference) keeping subset on top."""
-    ws = _Workspace(dataset, k, region)
-    return _cell_min_wdiff(ws, subset)
-
-
-def _cell_min_wdiff(ws, subset):
-    d = ws.d
-    wo = ws.region.reference
-    nv = 2 * d + 1  # w (d), lambda, phi (d)
-    rows = []
-    member = set(subset)
-    pts = ws.dataset.points
-    for i in np.nonzero(ws.band)[0]:
-        a = np.zeros(nv)
-        a[:d] = pts[i]
-        a[d] = -1.0
-        rows.append((a, ">=" if int(ws.ids[i]) in member else "<=", 0.0))
-    if ws.lambda_hi is not None:
-        a = np.zeros(nv)
-        a[d] = 1.0
-        rows.append((a, "<=", ws.lambda_hi))
-    if ws.lambda_lo is not None:
-        a = np.zeros(nv)
-        a[d] = 1.0
-        rows.append((a, ">=", ws.lambda_lo))
-    rows.extend(l1_envelope_rows(wo, nv, d + 1))
-    a = np.zeros(nv)
-    a[:d] = 1.0
-    rows.append((a, "=", 1.0))
-    for i in range(d):
-        a = np.zeros(nv)
-        a[i] = 1.0
-        rows.append((a, ">=", 0.0))
-    a = np.zeros(nv)
-    a[d] = 1.0
-    rows.append((a, ">=", 0.0))
-    rows.append((a.copy(), "<=", 1.0))
-    for coeffs, off in ws.region.halfspaces:
-        a = np.zeros(nv)
-        a[:d] = coeffs
-        rows.append((a, ">=", -off))
-    c = np.zeros(nv)
-    c[d + 1:] = 1.0
-    out = simplex_lp(LpProblem(c, rows, "min"))
-    if out.status != "optimal":
-        return None
-    w = np.clip(out.x[:d], 0.0, None)
-    w = w / w.sum()
-    return tuple(float(v) for v in w), float(out.value)
-
-
 def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGET,
              ledger=None):
     """Best fair weight by breadth-first search over reachable cells.
@@ -306,7 +252,8 @@ def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGE
                 ledger.fair_cells += 1
                 sols.append((-hit[1], node.subset, node.witness, None))
         elif verify_fair(dataset, k, spec, w_node):
-            cell = _cell_min_wdiff(ws, node.subset)
+            member = np.isin(ws.ids, node.subset)
+            cell = cell_min_wdiff(dataset.points, member, ws.split, region)
             if cell is not None:
                 ledger.fair_cells += 1
                 sols.append((cell[1], node.subset, node.witness, cell[0]))
@@ -347,7 +294,8 @@ def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGE
         # subsets are unique, so (key, subset) orders the solutions totally
         _, subset, witness, point = min(sols, key=lambda s: (s[0], s[1]))
         if point is None:  # utility: prefer the cell point closest to the reference
-            cell = _cell_min_wdiff(ws, subset)
+            member = np.isin(ws.ids, subset)
+            cell = cell_min_wdiff(dataset.points, member, ws.split, region)
             point = cell[0] if cell is not None else None
         weights = [lift_weight(witness)]
         if point is not None:

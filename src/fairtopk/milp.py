@@ -8,11 +8,11 @@ region rows restrict the weights, and the objective is either the L1
 distance to the reference weights or the selected reference utility.
 
 The solver is a best-first branch and bound over the dense-simplex
-relaxation.  Integral relaxation points are re-solved with the binaries
-fixed before they may become incumbents, so numerically sloppy roundings
-can never leak into results; subsets whose fixed LP is infeasible are
-excluded by a no-good cut and the search continues.  The answer is the
-incumbent's normalized weight; its witness and value come from verify.
+relaxation, reduced to the cutoff band.  Integral relaxation points are
+checked and placed by klevel's cell LP (geometry.cell_min_wdiff): the
+incumbent weight is the subset's closest cell point to the reference, and
+a subset whose cell misses the region gets a no-good cut.  The answer's
+witness and value come from verify.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import TIE_EPS, BudgetExceededError, W_DIFFERENCE, WeightVector
-from .geometry import LpProblem, band_split, l1_envelope_rows, simplex_lp
+from .geometry import LpProblem, band_split, cell_min_wdiff, l1_envelope_rows, simplex_lp
 from .verify import finish_result
 
 INT_TOL = 1e-6
@@ -161,46 +161,39 @@ class _Node:
     fixings: dict = field(compare=False)
 
 
-def _relaxation_rows(model, reduce_band):
-    """Row set actually solved per node; reduced rows are equivalent."""
+def _relaxation_rows(model, split):
+    """Per-node rows: band score rows, cutoff rows and the rest of the
+    model, with the sure-in and sure-out binaries fixed instead."""
     d, n = model.dataset.d, len(model.dataset)
+    _, sure_in, sure_out, lam_hi, lam_lo = split
+    base_fix = {d + 1 + int(i): 1.0 for i in np.nonzero(sure_in)[0]}
+    base_fix.update({d + 1 + int(i): 0.0 for i in np.nonzero(sure_out)[0]})
     rows = []
-    base_fix = {}
-    if reduce_band:
-        _, sure_in, sure_out, lam_hi, lam_lo = band_split(
-            model.dataset.points, model.k, model.region
-        )
-        for i in np.nonzero(sure_in)[0]:
-            base_fix[d + 1 + int(i)] = 1.0
-        for i in np.nonzero(sure_out)[0]:
-            base_fix[d + 1 + int(i)] = 0.0
-        band = ~(sure_in | sure_out)
-        for i in np.nonzero(band)[0]:
-            rows.append(model.rows[2 * int(i)])
-            rows.append(model.rows[2 * int(i) + 1])
-        if lam_hi is not None:
-            a = np.zeros(model.nvars)
-            a[d] = 1.0
-            rows.append((a, "<=", lam_hi))
-        if lam_lo is not None:
-            a = np.zeros(model.nvars)
-            a[d] = 1.0
-            rows.append((a, ">=", lam_lo))
-    else:
-        rows.extend(model.rows[: 2 * n])
+    for i in np.nonzero(~(sure_in | sure_out))[0]:
+        rows.append(model.rows[2 * int(i)])
+        rows.append(model.rows[2 * int(i) + 1])
+    if lam_hi is not None:
+        a = np.zeros(model.nvars)
+        a[d] = 1.0
+        rows.append((a, "<=", lam_hi))
+    if lam_lo is not None:
+        a = np.zeros(model.nvars)
+        a[d] = 1.0
+        rows.append((a, ">=", lam_lo))
     rows.extend(model.rows[2 * n:])
     return rows, base_fix
 
 
-def solve_milp(model, node_budget=DEFAULT_NODE_BUDGET, reduce_band=True):
+def solve_milp(model, node_budget=DEFAULT_NODE_BUDGET):
     """Optimal fair weights by best-first branch and bound, or None.
 
     Branches on the most fractional binary (ties: smallest candidate id),
-    explores nodes in (bound, depth, serial) order and accepts incumbents
-    only after a re-solve with the rounded binaries pinned.
+    explores nodes in (bound, depth, serial) order and accepts an integral
+    subset only through its cell LP, whose point becomes the incumbent.
     """
-    d, n = model.dataset.d, len(model.dataset)
-    base_rows, base_fix = _relaxation_rows(model, reduce_band)
+    pts = model.dataset.points
+    split = band_split(pts, model.k, model.region)
+    base_rows, base_fix = _relaxation_rows(model, split)
     cuts = []
     sense = 1.0 if model.direction == "min" else -1.0
 
@@ -220,13 +213,12 @@ def solve_milp(model, node_budget=DEFAULT_NODE_BUDGET, reduce_band=True):
         return simplex_lp(LpProblem(model.c, rows, model.direction))
 
     def finish():
-        """Report the incumbent's normalized weight through verify."""
+        """Report the incumbent weight through verify."""
         if incumbent is None:
             return None
-        w = np.clip(incumbent, 0.0, None)
         return finish_result(
             model.dataset, model.k, model.spec, model.region,
-            [WeightVector(w / w.sum())], "milp",
+            [WeightVector(incumbent)], "milp",
         )
 
     serial = 0
@@ -257,18 +249,19 @@ def solve_milp(model, node_budget=DEFAULT_NODE_BUDGET, reduce_band=True):
         delta = out.x[model.binaries]
         frac = np.abs(delta - np.round(delta))
         if frac.max() <= INT_TOL:
-            rounded = np.round(delta)
-            fix_all = dict(node.fixings)
-            for pos, idx in enumerate(model.binaries):
-                fix_all[idx] = float(rounded[pos])
-            pinned = relax(fix_all)
-            if pinned.status == "optimal" and sense * pinned.value < best - CUT_TOL:
-                best = sense * pinned.value
-                incumbent = pinned.x[:d].copy()
-            elif pinned.status != "optimal":
+            ones = np.round(delta) > 0.5
+            cell = cell_min_wdiff(pts, ones, split, model.region)
+            if cell is not None:
+                if model.objective == W_DIFFERENCE:
+                    value = cell[1]
+                else:
+                    value = -float(model.c[model.binaries] @ ones)
+                if value < best - CUT_TOL:
+                    best = value
+                    incumbent = cell[0]
+            else:
                 # exclude exactly this membership pattern and move on
                 a = np.zeros(model.nvars)
-                ones = rounded > 0.5
                 for pos, idx in enumerate(model.binaries):
                     a[idx] = 1.0 if ones[pos] else -1.0
                 cuts.append((a, "<=", float(ones.sum()) - 1.0))

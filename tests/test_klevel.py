@@ -6,20 +6,16 @@ from numpy.testing import assert_allclose
 
 from fairtopk.core import (
     BudgetExceededError,
+    Candidate,
+    Dataset,
     FairnessSpec,
     UTILITY_LOSS,
     W_DIFFERENCE,
     WeightRegion,
     WeightVector,
 )
-from fairtopk.geometry import lift_weight
-from fairtopk.klevel import (
-    TraversalLedger,
-    cell_min_wdiff,
-    initial_cell,
-    swap_feasible,
-    traverse,
-)
+from fairtopk.geometry import band_split, cell_min_wdiff, lift_weight
+from fairtopk.klevel import TraversalLedger, initial_cell, swap_feasible, traverse
 from fairtopk.sweep2d import sweep_select
 from fairtopk.verify import decompose_topk, verify_fair
 from conftest import tied_instance
@@ -27,6 +23,12 @@ from conftest import tied_instance
 
 def full_region(wo, objective=W_DIFFERENCE):
     return WeightRegion.box(wo, epsilon=1.0, objective=objective)
+
+
+def cell_point(data, k, subset, region):
+    """The shared cell LP for a subset given by its ids."""
+    member = np.isin(data.id_array, subset)
+    return cell_min_wdiff(data.points, member, band_split(data.points, k, region), region)
 
 
 class TestCells:
@@ -60,7 +62,7 @@ class TestCells:
 
     def test_cell_min_wdiff_clamps_to_cell_border(self, five_dataset):
         region = full_region(WeightVector((0.5, 0.5)))
-        got = cell_min_wdiff(five_dataset, 2, (2, 4), region)
+        got = cell_point(five_dataset, 2, (2, 4), region)
         assert got is not None
         point, value = got
         assert_allclose(value, 1 / 9, atol=1e-9)
@@ -68,10 +70,26 @@ class TestCells:
 
     def test_cell_min_wdiff_zero_inside_own_cell(self, five_dataset):
         region = full_region(WeightVector((0.58, 0.42)))
-        got = cell_min_wdiff(five_dataset, 2, (2, 4), region)
+        got = cell_point(five_dataset, 2, (2, 4), region)
         point, value = got
         assert_allclose(value, 0.0, atol=1e-12)
         assert_allclose(point, (0.58, 0.42), atol=1e-9)
+
+    def test_cell_min_wdiff_split_duplicate_class_rides_on_the_cut(self):
+        # candidates 1 and 2 share a point; the subset {1, 3} splits them,
+        # so its closed cell is where that class sits exactly at the cutoff
+        points = [(0.4, 0.7), (0.6, 0.5), (0.6, 0.5), (0.9, 0.9)]
+        data = Dataset([Candidate(i, p, set()) for i, p in enumerate(points)])
+        region = full_region(WeightVector((0.3, 0.7)))
+        got = cell_point(data, 2, (1, 3), region)
+        assert got is not None
+        point, value = got
+        # the class clears candidate 0 only from w_1 = 0.5 on
+        assert_allclose(point, (0.5, 0.5), atol=1e-9)
+        assert_allclose(value, 0.4, atol=1e-9)
+        decomp = decompose_topk(data, 2, WeightVector(point))
+        assert decomp.strict == (3,)
+        assert {1, 2} <= set(decomp.tied)
 
 
 class TestTraverse:

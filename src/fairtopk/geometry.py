@@ -21,6 +21,7 @@ FEAS_TOL = 1e-9
 _ZERO = 1e-12
 
 SEIDEL_MAX_DIMS = 8
+SEIDEL_BOX = 1e7
 SIMPLEX_ABOVE_VARS = 6
 
 
@@ -149,12 +150,12 @@ def solve_lp(problem):
 # Seidel's randomized incremental LP (few variables, many rows)
 # ----------------------------------------------------------------------
 
-def seidel_lp(problem, seed=0, box=1e7):
+def seidel_lp(problem, seed=0):
     """Randomized incremental LP for up to SEIDEL_MAX_DIMS variables.
 
     Rows are processed in a seed-deterministic shuffled order; a violated
     row sends the search to that row's boundary in one fewer dimension.
-    The implicit bounding box at +-box detects unbounded problems.
+    The implicit bounding box at +-SEIDEL_BOX detects unbounded problems.
     """
     d = problem.nvars
     if d > SEIDEL_MAX_DIMS:
@@ -169,13 +170,12 @@ def seidel_lp(problem, seed=0, box=1e7):
             rows.append((-a, -b))
     rng = random.Random(seed)
     rng.shuffle(rows)
-    lo = np.full(d, -box)
-    hi = np.full(d, box)
+    lo, hi = np.full(d, -SEIDEL_BOX), np.full(d, SEIDEL_BOX)
     x = _seidel_rec(rows, c, lo, hi)
     if x is None:
         return LpOutcome("infeasible")
     x = np.asarray(x)
-    if np.any(np.abs(x) >= box * (1.0 - 1e-6)):
+    if np.any(np.abs(x) >= SEIDEL_BOX * (1.0 - 1e-6)):
         return LpOutcome("unbounded")
     return LpOutcome("optimal", x, float(problem.c @ x))
 
@@ -281,11 +281,14 @@ def simplex_lp(problem, pivot_budget=20000):
         b[i] = rhs
 
     basis = [n_cols + i for i in range(m)]
+    A0, b0 = A.copy(), b.copy()
     # phase 1: drive the artificial total to zero
     cost1 = np.zeros(n_cols + m)
     cost1[n_cols:] = 1.0
-    tab, used = _simplex_iterate(A, b, basis, cost1, pivot_budget, phase=1)
-    A, b = tab
+    _, used = _simplex_iterate(A, b, basis, cost1, pivot_budget, phase=1)
+    # pivoting drifts the tableau; re-derive it from the rows at the final basis
+    A = np.linalg.solve(A0[:, basis], A0)
+    b = np.linalg.solve(A0[:, basis], b0)
     if float(cost1[basis] @ b) > 1e-7:
         return LpOutcome("infeasible")
     # pivot artificials out of the basis where possible, drop dead rows
@@ -383,7 +386,7 @@ def _simplex_iterate(A, b, basis, cost, budget, phase):
 # region vertices and hyperplane side tests (projected space)
 # ----------------------------------------------------------------------
 
-def region_extreme_points(region, tol=FEAS_TOL):
+def region_extreme_points(region):
     """Vertices of the projected region polytope, sorted lexicographically.
 
     Brute-force vertex enumeration: every (d-1)-subset of rows is solved as
@@ -405,7 +408,7 @@ def region_extreme_points(region, tol=FEAS_TOL):
             continue
         if not np.all(np.isfinite(v)):
             continue
-        if np.min(A @ v + off) < -tol:
+        if np.min(A @ v + off) < -FEAS_TOL:
             continue
         if not any(np.max(np.abs(v - u)) <= 1e-9 for u in verts):
             verts.append(v)
@@ -515,18 +518,18 @@ def cell_min_wdiff(points, member, split, region):
     return tuple(float(v) for v in w), float(out.value)
 
 
-def hyperplane_side(coeffs, offset, points, tol=FEAS_TOL):
+def hyperplane_side(coeffs, offset, points):
     """+1 or -1 when all points are strictly on one side, else 0."""
     if len(points) == 0:
         return 0
     vals = np.asarray(points) @ np.asarray(coeffs, dtype=float) + offset
-    if np.all(vals > tol):
+    if np.all(vals > FEAS_TOL):
         return 1
-    if np.all(vals < -tol):
+    if np.all(vals < -FEAS_TOL):
         return -1
     return 0
 
 
-def hyperplane_misses_region(coeffs, offset, vertices, tol=FEAS_TOL):
+def hyperplane_misses_region(coeffs, offset, vertices):
     """True when the hyperplane coeffs . y + offset = 0 misses the hull."""
-    return hyperplane_side(coeffs, offset, vertices, tol) != 0
+    return hyperplane_side(coeffs, offset, vertices) != 0

@@ -1,11 +1,11 @@
 """Multi-dimensional engine: walk top-k cells of the weight region.
 
 The arrangement of score-equality hyperplanes partitions the region into
-cells, each with a fixed top-k subset.  Starting from witness points the
-traversal expands cells breadth-first through single-candidate swaps; a
-swap is feasible when an LP finds interior room for the new subset inside
-the region.  Fairness of every visited cell is delegated to the verify
-module at the cell witness, so duplicate-point ties stay handled exactly.
+cells, each with a fixed top-k subset, and faces where duplicate-point
+classes tie at the cutoff.  From witness points the traversal expands
+these nodes breadth-first through single-candidate swaps, each found by an
+LP inside the region.  Fairness of every visited node is delegated to the
+verify module at its witness, so split classes tied there stay exact.
 
 A cutoff band keeps the LPs small: candidates provably inside every top-k
 over the region are fixed in, candidates provably outside are fixed out,
@@ -45,7 +45,8 @@ DEFAULT_SWAP_BUDGET = 5_000_000
 
 @dataclass(frozen=True)
 class CellNode:
-    """One arrangement cell: its canonical subset and an interior witness."""
+    """A cell, or the face where the duplicate classes it splits tie at
+    the cutoff: its canonical subset and a relative-interior witness."""
 
     subset: tuple
     witness: tuple
@@ -105,17 +106,16 @@ class _Workspace:
 
         Separation works on duplicate-point classes: a fully taken class
         must clear the threshold from above, an untouched one from below,
-        and a split class rides exactly on it (its members tie at the
-        pivot).  Two split classes of distinct points never share an open
-        cell, and a split or missed sure-in class (or the reverse for
-        sure-out) is impossible anywhere in the region; both yield None.
+        and every split class rides exactly on it, so a subset that splits
+        classes gets the face where they all tie at the pivot.  A split or
+        missed sure-in class (or the reverse for sure-out) is impossible
+        anywhere in the region and yields None.
         """
         d = self.d
         nv = d + 1  # variables: y (d-1), lambda, xi
         rows = []
         member = set(new_subset)
         seen = set()
-        split = 0
         for i in range(len(self.ids)):
             cid = int(self.ids[i])
             cls = self.dup_class[cid]
@@ -140,9 +140,6 @@ class _Workspace:
                 a[d] = 1.0
                 rows.append((a, "<=", -self.r[i]))
             else:
-                split += 1
-                if split > 1:
-                    return None
                 rows.append((a, "=", -self.r[i]))
         if self.lambda_hi is not None:
             a = np.zeros(nv)
@@ -184,7 +181,7 @@ def _initial_cell(ws, witness=None):
 
 
 def swap_feasible(dataset, k, subset, c_out, c_in, region):
-    """Interior witness of the cell of subset - c_out + c_in, or None."""
+    """Witness of the node (cell or tie face) of subset - c_out + c_in, or None."""
     ws = _Workspace(dataset, k, region)
     return _swap_feasible(ws, subset, c_out, c_in)
 

@@ -197,3 +197,75 @@ class TestTraverse:
         spec = FairnessSpec(lower=[2], upper=[2])
         region = WeightRegion.box(WeightVector((0.05, 0.95)), 0.02)
         assert traverse(five_dataset, 2, spec, region) is None
+
+
+class TestDuplicateTieFaces:
+    """Optima that exist only where two duplicate-point classes tie at the cutoff.
+
+    Both instances are d=3 utility queries with 15% duplicate points; the
+    expected values are the milp engine's.
+    """
+
+    def solve(self, rows, k, bounds, wo, epsilon):
+        data = Dataset([Candidate(i, r[:3], r[3]) for i, r in enumerate(rows)])
+        spec = FairnessSpec.from_fractions(bounds, k)
+        region = WeightRegion.box(WeightVector(wo), epsilon, objective=UTILITY_LOSS)
+        res = traverse(data, k, spec, region)
+        assert res is not None
+        assert region.contains(res.weight, tol=1e-9)
+        assert verify_fair(data, k, spec, res.weight)
+        return res
+
+    def test_two_split_classes_hold_the_only_fair_subsets(self):
+        # the optimum splits the classes {0, 1, 12} and {10, 15}
+        rows = [
+            (0.5578561017127485, 0.02312001154715626, 0.7080144267254687, set()),
+            (0.5578561017127485, 0.02312001154715626, 0.7080144267254687, {1}),
+            (0.9910280295634182, 0.6594649095250277, 0.9155594317938559, set()),
+            (0.8230859808822736, 0.0548309233612041, 0.3514012088652332, {0, 1}),
+            (0.37268170090527797, 0.11175897978861293, 0.8678346840133497, set()),
+            (0.937281505290474, 0.6016757188295139, 0.41734230854749965, set()),
+            (0.37137598428950824, 0.4676778226794266, 0.5910139968465202, {0}),
+            (0.5187737225789523, 0.5416693892754613, 0.6051279162138165, {1}),
+            (0.3176525494358845, 0.7912744786329047, 0.2490027538845373, set()),
+            (0.33650538620777304, 0.8171868633106509, 0.10302454184239496, {1}),
+            (0.17140685552209967, 0.6755377148877649, 0.6044357133912729, {0}),
+            (0.9428116925539398, 0.9558063734812468, 0.5727161578800267, {0}),
+            (0.5578561017127485, 0.02312001154715626, 0.7080144267254687, set()),
+            (0.8914799747502519, 0.7374448617112423, 0.22359200367015197, set()),
+            (0.08189820566057149, 0.6016944869900247, 0.90497309807257, {0}),
+            (0.17140685552209967, 0.6755377148877649, 0.6044357133912729, {0, 1}),
+            (0.024630131834049718, 0.7838251861484222, 0.40192082834120146, set()),
+            (0.0004487776562774881, 0.8406650884928026, 0.3557131521521847, {0}),
+        ]
+        wo = (0.23884571830798446, 0.22834542294580487, 0.5328088587462105)
+        res = self.solve(rows, 8, [(0.25, 0.75), (0.375, 1.0)], wo, 0.014329)
+        assert_allclose(res.value, 0.00029578967531729283, atol=1e-9)
+
+    def test_two_split_classes_beat_every_cell(self):
+        # the optimum splits the classes {3, 4} and {6, 8}
+        rows = [
+            (0.08278275772700472, 0.7322094745518839, 0.7030205414252981, set()),
+            (0.1668043982147509, 0.6560319623203396, 0.5498965643989768, {0, 1}),
+            (0.4399822119217529, 0.7215805534789843, 0.18904886244227614, {0}),
+            (0.7984410409903553, 0.34187869842017626, 0.3167937933324485, {1}),
+            (0.7984410409903553, 0.34187869842017626, 0.3167937933324485, set()),
+            (0.9153857811816503, 0.3795088313075713, 0.8198624629632143, set()),
+            (0.647004147213342, 0.31282858535290814, 0.733559522876565, {0, 1}),
+            (0.7297063744994018, 0.1851556490998688, 0.940974192674753, set()),
+            (0.647004147213342, 0.31282858535290814, 0.733559522876565, set()),
+            (0.39992094134886336, 0.6734295284816868, 0.4462249361210322, {1}),
+            (0.3742758914525476, 0.7532407599707187, 0.5374729339051483, {1}),
+            (0.0723481227199686, 0.6060366841670456, 0.621743131163683, {0}),
+            (0.5538947214951094, 0.5965859081748797, 0.702258507900507, set()),
+            (0.9871943573326571, 0.9236628784967691, 0.9358190331014167, {1}),
+            (0.3208538271519168, 0.1248280647540797, 0.11968040452157525, set()),
+            (0.03697346035500915, 0.78368620179737, 0.7800615880079258, {1}),
+            (0.1668043982147509, 0.6560319623203396, 0.5498965643989768, {0, 1}),
+            (0.9569540109588652, 0.6442179514450762, 0.9875101223987816, set()),
+            (0.7953164615025653, 0.7555914976833464, 0.974304589065097, set()),
+            (0.1045269537172101, 0.06875791442964496, 0.9861119817060365, {1}),
+        ]
+        wo = (0.45340374944687006, 0.24865015257213122, 0.2979460979809987)
+        res = self.solve(rows, 8, [(0.0, 0.375), (0.375, 1.0)], wo, 0.106827)
+        assert_allclose(res.value, 0.008209236175097945, atol=1e-9)

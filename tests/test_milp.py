@@ -217,6 +217,44 @@ class TestSolve:
         assert_allclose(res.value, 0.1249290227, atol=1e-9)
         assert res.subset == (2, 8, 9, 11, 13)
 
+    def test_phase_one_drift_does_not_cut_a_feasible_node(self):
+        # n=22, d=3, k=8 wdiff query with duplicate points: one node
+        # relaxation is feasible, but the pivoted tableau drifts so far
+        # that its phase-1 residual reads as infeasible; dropping that node
+        # leaves milp at 0.1036002012
+        rows = [
+            (0.11225420007151776, 0.24621739376170226, 0.628951964793763, {0}),
+            (0.15904178953862136, 0.2343468238084483, 0.9386910728602194, {0}),
+            (0.03515956184206581, 0.09885683584392435, 0.648077238059413, {1}),
+            (0.8743142117463529, 0.01196616619527302, 0.17664663192524954, set()),
+            (0.2793382689645202, 0.41632019567587975, 0.590053998827785, {1}),
+            (0.9179229624020999, 0.22462776389561334, 0.9110367946042831, {0}),
+            (0.5208509702140716, 0.08972108043043314, 0.2422467946275012, set()),
+            (0.33239791606475577, 0.10833849027946085, 0.10857087105049135, {1}),
+            (0.9352921977181826, 0.4528949567388224, 0.9053740975733632, set()),
+            (0.127957181243472, 0.31062092212279735, 0.6330916007079904, {1}),
+            (0.9847077676424125, 0.4121695181872549, 0.09287162702124918, {0}),
+            (0.9179229624020999, 0.22462776389561334, 0.9110367946042831, set()),
+            (0.6360427792135299, 0.19961470258682612, 0.874773110860422, {0}),
+            (0.9179229624020999, 0.22462776389561334, 0.9110367946042831, {0}),
+            (0.3500903791156854, 0.9054677363527007, 0.3518506986910299, {0, 1}),
+            (0.0880531536177449, 0.008916589159656985, 0.06823273259294871, set()),
+            (0.15904178953862136, 0.2343468238084483, 0.9386910728602194, {1}),
+            (0.7946495594642272, 0.23250239196341027, 0.5835610816417892, {0}),
+            (0.5208509702140716, 0.08972108043043314, 0.2422467946275012, set()),
+            (0.16556764796170165, 0.7289412496400842, 0.62583422904267, {1}),
+            (0.4808453333646543, 0.9302086483707104, 0.9108143714835963, {0}),
+            (0.7946495594642272, 0.23250239196341027, 0.5835610816417892, set()),
+        ]
+        data = Dataset([Candidate(i, r[:3], r[3]) for i, r in enumerate(rows)])
+        spec = FairnessSpec.from_fractions([(0.75, 1.0), (0.0, 0.5)], 8)
+        wo = WeightVector((0.2878212498295595, 0.3870969891251741, 0.3250817610452664))
+        region = WeightRegion.box(wo, 0.068227, objective=W_DIFFERENCE)
+        res = solve_milp(build_milp(data, 8, spec, region))
+        assert res is not None
+        assert_allclose(res.value, 0.0441556921, atol=1e-9)
+        assert verify_fair(data, 8, spec, res.weight)
+
     def test_node_budget(self, five_dataset, five_spec):
         region = WeightRegion.box(WeightVector((0.5, 0.5)), 0.5)
         with pytest.raises(BudgetExceededError) as err:

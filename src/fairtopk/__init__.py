@@ -29,7 +29,7 @@ from .verify import (
 from .sweep2d import sweep_select
 from .klevel import traverse
 from .milp import build_milp, export_lp, solve_milp
-from .stability import StableResult, stable_weight, stable_weight_2d, stable_weight_md
+from .stability import StableResult, stable_weight
 from .pipeline import (
     RunConfig,
     SampleReport,
@@ -88,8 +88,6 @@ __all__ = [
     "select",
     "solve_milp",
     "stable_weight",
-    "stable_weight_2d",
-    "stable_weight_md",
     "sweep_select",
     "traverse",
     "utility_loss",

@@ -53,10 +53,10 @@ def lift_weight(y):
     return WeightVector(tuple(comps))
 
 
-def project_point(point):
-    """Affine score form: score(w) = coeffs . y + offset for projected y."""
-    p = np.asarray(point, dtype=float)
-    return p[:-1] - p[-1], float(p[-1])
+def project_points(points):
+    """Affine score forms, one per row: score(w) = Q[i] . y + r[i] for projected y."""
+    p = np.asarray(points, dtype=float)
+    return p[:, :-1] - p[:, -1:], p[:, -1].copy()
 
 
 def project_halfspace(coeffs, offset):
@@ -529,7 +529,3 @@ def hyperplane_side(coeffs, offset, points):
         return -1
     return 0
 
-
-def hyperplane_misses_region(coeffs, offset, vertices):
-    """True when the hyperplane coeffs . y + offset = 0 misses the hull."""
-    return hyperplane_side(coeffs, offset, vertices) != 0

@@ -34,6 +34,7 @@ from .geometry import (
     hyperplane_side,
     lift_weight,
     project_halfspace,
+    project_points,
     simplex_rows_projected,
     solve_lp,
 )
@@ -75,8 +76,7 @@ class _Workspace:
         self.split = band_split(pts, k, region)
         self.verts, self.sure_in, self.sure_out, self.lambda_hi, self.lambda_lo = self.split
         self.band = ~(self.sure_in | self.sure_out)
-        self.Q = pts[:, :-1] - pts[:, -1:]
-        self.r = pts[:, -1].copy()
+        self.Q, self.r = project_points(pts)
         self.ids = dataset.id_array
         self.pos = {cid: i for i, cid in enumerate(dataset.ids)}
         self.region_rows = [project_halfspace(c, o) for c, o in region.halfspaces]

@@ -9,11 +9,10 @@ from fairtopk.core import WeightRegion, WeightVector
 from fairtopk.geometry import (
     LpProblem,
     dual_line,
-    hyperplane_misses_region,
     hyperplane_side,
     lift_weight,
     project_halfspace,
-    project_point,
+    project_points,
     project_weight,
     projected_region_rows,
     region_extreme_points,
@@ -182,16 +181,16 @@ class TestProjection:
         assert np.all(arr >= 0)
         assert_allclose(arr.sum(), 1.0, atol=1e-12)
 
-    def test_project_point_preserves_scores(self):
-        # scores in projected coordinates: q . y + r == p . w
+    def test_project_points_preserves_scores(self):
+        # scores in projected coordinates: Q[i] . y + r[i] == p[i] . w
         rng = np.random.default_rng(22)
         for _ in range(40):
             d = int(rng.integers(2, 6))
-            p = rng.random(d)
+            p = rng.random((int(rng.integers(1, 5)), d))
             w = WeightVector(tuple(rng.dirichlet(np.ones(d))))
-            q, r = project_point(p)
+            Q, r = project_points(p)
             y = project_weight(w)
-            assert_allclose(float(np.dot(q, y) + r), float(np.dot(p, w.as_array())), atol=1e-12)
+            assert_allclose(Q @ y + r, p @ w.as_array(), atol=1e-12)
 
     def test_project_halfspace_consistency(self):
         rng = np.random.default_rng(23)
@@ -282,5 +281,3 @@ class TestHyperplaneSide:
         assert hyperplane_side((0.0, 1.0), -1.0, pts) == -1
         assert hyperplane_side((0.0, 1.0), 1.0, pts) == 1
         assert hyperplane_side((1.0, 0.0), -0.5, pts) == 0
-        assert hyperplane_misses_region((0.0, 1.0), -1.0, pts)
-        assert not hyperplane_misses_region((1.0, 0.0), -0.5, pts)

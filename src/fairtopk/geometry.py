@@ -1,4 +1,4 @@
-"""Weight-space geometry and the two small LP kernels.
+"""Weight-space geometry and the LP kernel.
 
 Weights live on the standard simplex, so every d-dimensional weight vector
 is handled in the projected space of its first d-1 components; the last
@@ -22,7 +22,6 @@ _ZERO = 1e-12
 
 SEIDEL_MAX_DIMS = 8
 SEIDEL_BOX = 1e7
-SIMPLEX_ABOVE_VARS = 6
 
 
 # ----------------------------------------------------------------------
@@ -139,15 +138,8 @@ class LpOutcome:
     value: float = None
 
 
-def solve_lp(problem):
-    """Route to the Seidel kernel for few variables, else to simplex."""
-    if problem.nvars > SIMPLEX_ABOVE_VARS:
-        return simplex_lp(problem)
-    return seidel_lp(problem)
-
-
 # ----------------------------------------------------------------------
-# Seidel's randomized incremental LP (few variables, many rows)
+# Seidel's randomized incremental LP (no engine caller)
 # ----------------------------------------------------------------------
 
 def seidel_lp(problem, seed=0):
@@ -156,6 +148,10 @@ def seidel_lp(problem, seed=0):
     Rows are processed in a seed-deterministic shuffled order; a violated
     row sends the search to that row's boundary in one fewer dimension.
     The implicit bounding box at +-SEIDEL_BOX detects unbounded problems.
+
+    No engine calls it any more: simplex_lp was faster on every LP that
+    used to come here.  It stays only because perfbench/spans.py spans it
+    by name, and the traced benchmark run stops without it.
     """
     d = problem.nvars
     if d > SEIDEL_MAX_DIMS:

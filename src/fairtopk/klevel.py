@@ -3,9 +3,10 @@
 The arrangement of score-equality hyperplanes partitions the region into
 cells, each with a fixed top-k subset, and faces where duplicate-point
 classes tie at the cutoff.  From witness points the traversal expands
-these nodes breadth-first through single-candidate swaps, each found by an
-LP inside the region.  Fairness of every visited node is delegated to the
-verify module at its witness, so split classes tied there stay exact.
+these nodes breadth-first through single-candidate swaps; each distinct
+subset a swap reaches gets one LP for a witness inside the region.  Fairness
+of every visited node is delegated to the verify module at its witness, so
+split classes tied there stay exact.
 
 A cutoff band keeps the LPs small: candidates provably inside every top-k
 over the region are fixed in, candidates provably outside are fixed out,
@@ -35,8 +36,8 @@ from .geometry import (
     lift_weight,
     project_halfspace,
     project_points,
+    simplex_lp,
     simplex_rows_projected,
-    solve_lp,
 )
 from .verify import decompose_topk, finish_result, max_fair_utility, verify_fair
 
@@ -51,7 +52,6 @@ class CellNode:
 
     subset: tuple
     witness: tuple
-    depth: int = 0
 
 
 @dataclass
@@ -59,7 +59,7 @@ class TraversalLedger:
     """Work accounting for budget enforcement and the soundness tests."""
 
     cells_visited: int = 0
-    swap_tests: int = 0
+    swap_tests: int = 0  # cell LPs, one per distinct subset a swap reaches
     pruned_by_region: int = 0
     fair_cells: int = 0
 
@@ -70,7 +70,6 @@ class _Workspace:
     def __init__(self, dataset, k, region):
         self.dataset = dataset
         self.k = k
-        self.region = region
         self.d = dataset.d
         pts = dataset.points
         self.split = band_split(pts, k, region)
@@ -101,8 +100,8 @@ class _Workspace:
             out.extend(cls[:m])
         return tuple(sorted(out))
 
-    def swap_problem(self, new_subset):
-        """max xi so the band part of new_subset separates strictly in V.
+    def cell_problem(self, subset):
+        """max xi so the band part of subset separates strictly in V.
 
         Separation works on duplicate-point classes: a fully taken class
         must clear the threshold from above, an untouched one from below,
@@ -114,7 +113,7 @@ class _Workspace:
         d = self.d
         nv = d + 1  # variables: y (d-1), lambda, xi
         rows = []
-        member = set(new_subset)
+        member = set(subset)
         seen = set()
         for i in range(len(self.ids)):
             cid = int(self.ids[i])
@@ -166,32 +165,30 @@ class _Workspace:
 def initial_cell(dataset, k, region, witness=None):
     """Cell containing a witness (default: the region vertex centroid)."""
     ws = _Workspace(dataset, k, region)
-    return _initial_cell(ws, witness)
-
-
-def _initial_cell(ws, witness=None):
     if witness is None:
         if not len(ws.verts):
             return None
         witness = ws.verts.mean(axis=0)
-    w = lift_weight(witness)
-    decomp = decompose_topk(ws.dataset, ws.k, w)
+    return _initial_cell(ws, witness)
+
+
+def _initial_cell(ws, witness):
+    decomp = decompose_topk(ws.dataset, ws.k, lift_weight(witness))
     subset = ws.canonical(decomp.order[: ws.k])
     return CellNode(subset=subset, witness=tuple(float(v) for v in witness))
 
 
-def swap_feasible(dataset, k, subset, c_out, c_in, region):
-    """Witness of the node (cell or tie face) of subset - c_out + c_in, or None."""
+def cell_witness(dataset, k, subset, region):
+    """Witness of the node (cell or tie face) of subset, or None."""
     ws = _Workspace(dataset, k, region)
-    return _swap_feasible(ws, subset, c_out, c_in)
+    return _cell_witness(ws, subset)
 
 
-def _swap_feasible(ws, subset, c_out, c_in):
-    new_subset = tuple(sorted(set(subset) - {c_out} | {c_in}))
-    problem = ws.swap_problem(new_subset)
+def _cell_witness(ws, subset):
+    problem = ws.cell_problem(subset)
     if problem is None:
         return None
-    out = solve_lp(problem)
+    out = simplex_lp(problem)
     if out.status != "optimal" or out.value <= CELL_TOL:
         return None
     return tuple(float(v) for v in out.x[: ws.d - 1])
@@ -204,10 +201,11 @@ def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGE
     Expands every reachable cell whose interior meets the region, seeded
     from the region centroid, its extreme points and the reference weight.
     Under w-difference each fair cell contributes its closest point to the
-    reference; under utility loss its witness utility.  Exceeding the swap
-    budget raises BudgetExceededError with the best solution so far
-    attached as partial.  workers is accepted and ignored: the walk is
-    serial (see the module docstring).
+    reference; under utility loss its witness utility.  ledger.swap_tests
+    counts one cell LP per distinct subset a swap reaches; more than
+    swap_budget of them raise BudgetExceededError with the best so far as
+    partial.  workers is accepted and ignored: the walk is serial (see the
+    module docstring).
     """
     spec.validate(k)
     if workers > 1:
@@ -227,17 +225,16 @@ def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGE
     if region.contains(wo):
         seeds.append(np.asarray(wo.weights[:-1]))
 
-    visited = set()
+    seen = set()  # subsets a seed produced or a cell LP was asked about
     work = deque()
     for s in seeds:
         node = _initial_cell(ws, s)
-        if node is not None and node.subset not in visited:
-            visited.add(node.subset)
+        if node.subset not in seen:
+            seen.add(node.subset)
             work.append(node)
 
     band_ids = [int(i) for i in ws.ids[ws.band]]
     band_set = set(band_ids)
-    point_of = {c.cid: c.point for c in dataset.candidates}
     sols = []  # (objective key, subset, interior witness, closest cell point)
 
     def evaluate(node):
@@ -256,28 +253,27 @@ def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGE
                 sols.append((cell[1], node.subset, node.witness, cell[0]))
 
     def expand(node):
-        """Queue the unseen neighbour cells; False once the budget is spent."""
+        """Queue the unseen neighbour nodes; False once the budget is spent."""
         members = set(node.subset)
         for c_out in [c for c in node.subset if c in band_set]:
             for c_in in band_ids:
-                if c_in in members or point_of[c_out] == point_of[c_in]:
-                    continue  # same cell under any weight
+                if c_in in members:
+                    continue
                 i_out, i_in = ws.pos[c_out], ws.pos[c_in]
-                diff = ws.Q[i_in] - ws.Q[i_out]
-                off = ws.r[i_in] - ws.r[i_out]
+                diff, off = ws.Q[i_in] - ws.Q[i_out], ws.r[i_in] - ws.r[i_out]
                 if hyperplane_side(diff, off, ws.verts) != 0:
                     ledger.pruned_by_region += 1
                     continue
+                subset = ws.canonical(members - {c_out} | {c_in})
+                if subset in seen:
+                    continue  # also every swap inside a duplicate class
+                seen.add(subset)
                 ledger.swap_tests += 1
                 if ledger.swap_tests > swap_budget:
                     return False
-                witness = _swap_feasible(ws, node.subset, c_out, c_in)
-                if witness is None:
-                    continue
-                new_subset = ws.canonical(tuple(sorted(members - {c_out} | {c_in})))
-                if new_subset not in visited:
-                    visited.add(new_subset)
-                    work.append(CellNode(new_subset, witness, node.depth + 1))
+                witness = _cell_witness(ws, subset)
+                if witness is not None:
+                    work.append(CellNode(subset, witness))
         return True
 
     within_budget = True

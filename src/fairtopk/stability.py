@@ -36,7 +36,7 @@ from .geometry import (
     lift_weight,
     project_points,
     projected_region_rows,
-    solve_lp,
+    simplex_lp,
 )
 
 _ZERO_ROW = 1e-12
@@ -92,7 +92,7 @@ def stable_weight(dataset, k, subset, region):
         rows.append((np.append(gi / norm, -1.0), ">=", -hi / norm))
     radius = np.eye(d)[d - 1]
     rows.append((radius, ">=", 0.0))
-    out = solve_lp(LpProblem(radius, rows, "max"))
+    out = simplex_lp(LpProblem(radius, rows, "max"))
     if out.status != "optimal":
         return None
     margin = max(0.0, float(out.value))

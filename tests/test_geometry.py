@@ -20,7 +20,6 @@ from fairtopk.geometry import (
     seidel_lp,
     simplex_lp,
     simplex_rows_projected,
-    solve_lp,
 )
 
 
@@ -137,13 +136,6 @@ class TestLpKernels:
         out = simplex_lp(prob)
         assert out.status == ref_status == "optimal"
         assert_allclose(out.value, ref_value, atol=1e-6, rtol=1e-6)
-
-    def test_solve_lp_routes_by_variable_count(self):
-        rng = np.random.default_rng(10)
-        small = random_lp(rng, 3, 6)
-        big = random_lp(rng, 8, 10)
-        assert solve_lp(small).status == "optimal"
-        assert solve_lp(big).status == "optimal"
 
     def test_seidel_seed_determinism(self):
         rng = np.random.default_rng(13)

@@ -1,9 +1,11 @@
-"""Cell traversal engine: swap tests, per-cell optima, budget, determinism."""
+"""Cell traversal engine: cell LPs, per-cell optima, budget, determinism."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fairtopk.geometry
+import fairtopk.klevel
 from fairtopk.core import (
     BudgetExceededError,
     Candidate,
@@ -15,7 +17,9 @@ from fairtopk.core import (
     WeightVector,
 )
 from fairtopk.geometry import band_split, cell_min_wdiff, lift_weight
-from fairtopk.klevel import TraversalLedger, initial_cell, swap_feasible, traverse
+from fairtopk.klevel import TraversalLedger, cell_witness, initial_cell, traverse
+from fairtopk.milp import build_milp, solve_milp
+from fairtopk.pipeline import RunConfig, select
 from fairtopk.sweep2d import sweep_select
 from fairtopk.verify import decompose_topk, verify_fair
 from conftest import tied_instance
@@ -23,6 +27,14 @@ from conftest import tied_instance
 
 def full_region(wo, objective=W_DIFFERENCE):
     return WeightRegion.box(wo, epsilon=1.0, objective=objective)
+
+
+def seat_off_reference(data, k, wo):
+    """(lower, upper) seats of group 0: one more, or one fewer, than the
+    top-k at wo holds, so wo is unfair and an engine has to search."""
+    top = decompose_topk(data, k, WeightVector(wo)).order[:k]
+    held = sum(0 in data.candidates[data.ids.index(c)].groups for c in top)
+    return (held + 1, k) if held < k else (0, k - 1)
 
 
 def cell_point(data, k, subset, region):
@@ -41,8 +53,8 @@ class TestCells:
 
     def test_swap_witness_lands_in_the_new_cell(self, five_dataset):
         region = full_region(WeightVector((0.5, 0.5)))
-        for target, c_out, c_in in [((1, 4), 0, 1), ((2, 4), 0, 2), ((3, 4), 0, 3)]:
-            witness = swap_feasible(five_dataset, 2, (0, 4), c_out, c_in, region)
+        for target in [(1, 4), (2, 4), (3, 4)]:
+            witness = cell_witness(five_dataset, 2, target, region)
             assert witness is not None, f"cell {target} must be reachable"
             decomp = decompose_topk(five_dataset, 2, lift_weight(np.asarray(witness)))
             assert set(decomp.order[:2]) == set(target)
@@ -53,12 +65,12 @@ class TestCells:
     def test_dominant_candidate_cannot_be_swapped_out(self, five_dataset):
         # (0.9, 0.9) beats every other point at every weight
         region = full_region(WeightVector((0.5, 0.5)))
-        assert swap_feasible(five_dataset, 2, (0, 4), 4, 1, region) is None
+        assert cell_witness(five_dataset, 2, (0, 1), region) is None
 
     def test_swap_respects_region_bounds(self, five_dataset):
         region = WeightRegion.box(WeightVector((0.5, 0.5)), epsilon=0.03)
         # cell of {2, 4} needs x > 5/9, outside [0.47, 0.53]
-        assert swap_feasible(five_dataset, 2, (0, 4), 0, 2, region) is None
+        assert cell_witness(five_dataset, 2, (2, 4), region) is None
 
     def test_cell_min_wdiff_clamps_to_cell_border(self, five_dataset):
         region = full_region(WeightVector((0.5, 0.5)))
@@ -170,7 +182,8 @@ class TestTraverse:
         region = WeightRegion.box(WeightVector((0.5, 0.5)), 0.05)
         traverse(five_dataset, 2, spec, region, ledger=ledger)
         assert ledger.cells_visited >= 2
-        assert ledger.swap_tests >= 1
+        # every neighbour of this box is a seed cell, so no cell LP runs
+        assert ledger.swap_tests == 0
         assert ledger.fair_cells >= 1
 
     def test_region_pruning_skips_lps_in_3d(self):
@@ -186,6 +199,75 @@ class TestTraverse:
             traverse(data, 4, spec, region, ledger=ledger)
             pruned += ledger.pruned_by_region
         assert pruned >= 10
+
+    def test_each_cell_lp_runs_once(self, monkeypatch):
+        real = fairtopk.klevel.simplex_lp
+        seen = []
+
+        def recording(problem):
+            seen.append((tuple(problem.c), tuple(
+                (tuple(a), rel, b) for a, rel, b in problem.rows)))
+            return real(problem)
+
+        monkeypatch.setattr(fairtopk.klevel, "simplex_lp", recording)
+        rng = np.random.default_rng(91)
+        total = 0
+        for trial in range(6):
+            data, spec = tied_instance(rng, n=14, d=3, n_protected=2, k=4, dup_rate=0.3)
+            wo = WeightVector(tuple(rng.dirichlet(np.ones(3))))
+            region = WeightRegion.box(wo, 0.15)
+            ledger = TraversalLedger()
+            seen.clear()
+            traverse(data, 4, spec, region, ledger=ledger)
+            assert len(set(seen)) == len(seen), f"trial {trial}: a cell LP repeats"
+            assert len(seen) == ledger.swap_tests, f"trial {trial}"
+            total += len(seen)
+        assert total >= 10
+
+    @pytest.mark.parametrize("d", [3, 4], ids=["d=3", "d=4"])
+    def test_engine_lps_never_reach_seidel(self, d, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an engine LP reached seidel_lp")
+
+        monkeypatch.setattr(fairtopk.geometry, "seidel_lp", refuse)
+        rng = np.random.default_rng(97 + d)
+        moved = 0
+        for trial in range(6):
+            data, _ = tied_instance(rng, n=12, d=d, n_protected=1, k=3, dup_rate=0.2)
+            wo = tuple(rng.dirichlet(np.ones(d)))
+            lo, hi = seat_off_reference(data, 3, wo)
+            protected = [("G0", lo / 3, hi / 3)]
+            for objective in (W_DIFFERENCE, UTILITY_LOSS):
+                config = RunConfig(
+                    k=3, epsilon=0.3, objective=objective, engine="klevel",
+                    protected=protected, wo=wo, stable=objective == UTILITY_LOSS,
+                )
+                res = select(data, config)
+                if res is not None and max(
+                    abs(a - b) for a, b in zip(res.weight.weights, wo)
+                ) > 1e-9:
+                    moved += 1
+        assert moved >= 4
+
+    @pytest.mark.parametrize("d", [4, 5], ids=["d=4", "d=5"])
+    @pytest.mark.parametrize("objective", [W_DIFFERENCE, UTILITY_LOSS])
+    def test_klevel_matches_milp_in_higher_dimensions(self, d, objective):
+        rng = np.random.default_rng(101 + d)
+        solved = 0
+        for trial in range(5):
+            data, _ = tied_instance(rng, n=12, d=d, n_protected=1, k=3, dup_rate=0.2)
+            wo = WeightVector(tuple(rng.dirichlet(np.ones(d))))
+            lo, hi = seat_off_reference(data, 3, wo)
+            spec = FairnessSpec(lower=[lo], upper=[hi])
+            region = WeightRegion.box(wo, 0.3, objective=objective)
+            a = traverse(data, 3, spec, region)
+            b = solve_milp(build_milp(data, 3, spec, region))
+            if a is None or b is None:
+                assert a is None and b is None, f"trial {trial}: {a} vs {b}"
+                continue
+            solved += 1
+            assert_allclose(a.value, b.value, atol=1e-7, err_msg=f"trial {trial}")
+        assert solved >= 3
 
     def test_empty_region_returns_none(self, five_dataset, five_spec):
         region = WeightRegion.box(

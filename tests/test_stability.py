@@ -215,13 +215,13 @@ class TestAgreementAcrossImplementations:
         band = ~(sure_in | sure_out)
         band_pairs = int((band & member).sum()) * int((band & ~member).sum())
         seen = []
-        real = fairtopk.stability.solve_lp
+        real = fairtopk.stability.simplex_lp
 
         def recording(problem):
             seen.append(problem)
             return real(problem)
 
-        monkeypatch.setattr(fairtopk.stability, "solve_lp", recording)
+        monkeypatch.setattr(fairtopk.stability, "simplex_lp", recording)
         assert stable_weight(data, k, subset, region) is not None
         assert len(seen) == 1
         assert band_pairs < k * (data.n - k)

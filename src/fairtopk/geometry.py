@@ -18,7 +18,13 @@ import numpy as np
 from .core import TIE_EPS, LpStallError, WeightVector, weight_components
 
 FEAS_TOL = 1e-9
+CELL_TOL = 1e-9
 _ZERO = 1e-12
+_ZERO_ROW = 1e-12
+# a phase-1 total this far above zero is no drift: the LP is infeasible
+_PHASE_ONE_GAP = 1e-3
+# ratio-test entries this small are drift, and pivoting on them amplifies it
+_PIVOT_TOL = 1e-9
 
 SEIDEL_MAX_DIMS = 8
 SEIDEL_BOX = 1e7
@@ -245,7 +251,8 @@ def simplex_lp(problem, pivot_budget=20000):
     Entering columns follow the most-negative reduced cost until a run of
     degenerate pivots, after which Bland's least-index rule takes over so
     the method cannot cycle.  Exceeding the pivot budget raises
-    LpStallError rather than returning a wrong answer.
+    LpStallError rather than returning a wrong answer, and so does a
+    phase-1 basis that drift has made singular.
     """
     sign = 1.0 if problem.direction == "min" else -1.0
     n = problem.nvars
@@ -282,9 +289,14 @@ def simplex_lp(problem, pivot_budget=20000):
     cost1 = np.zeros(n_cols + m)
     cost1[n_cols:] = 1.0
     _, used = _simplex_iterate(A, b, basis, cost1, pivot_budget, phase=1)
+    if float(cost1[basis] @ b) > _PHASE_ONE_GAP:
+        return LpOutcome("infeasible")
     # pivoting drifts the tableau; re-derive it from the rows at the final basis
-    A = np.linalg.solve(A0[:, basis], A0)
-    b = np.linalg.solve(A0[:, basis], b0)
+    try:
+        A = np.linalg.solve(A0[:, basis], A0)
+        b = np.linalg.solve(A0[:, basis], b0)
+    except np.linalg.LinAlgError:
+        raise LpStallError("the phase-1 basis drifted into a singular matrix") from None
     if float(cost1[basis] @ b) > 1e-7:
         return LpOutcome("infeasible")
     # pivot artificials out of the basis where possible, drop dead rows
@@ -352,7 +364,7 @@ def _simplex_iterate(A, b, basis, cost, budget, phase):
             col = int(np.argmin(reduced))
             if reduced[col] >= -1e-10:
                 return (A, b), it
-        pos = A[:, col] > 1e-11
+        pos = A[:, col] > _PIVOT_TOL
         if not np.any(pos):
             if phase == 2:
                 raise _Unbounded
@@ -462,56 +474,150 @@ def l1_envelope_rows(wo, nvars, phi):
     return rows
 
 
-def cell_min_wdiff(points, member, split, region):
-    """Closest region point (L1, to the reference) of a closed top-k cell.
+_RELATION = {1: ">=", -1: "<=", 0: "="}  # class side of the cutoff: above, below, on
 
-    member masks the rows of the subset to keep on top and split is
-    band_split's tuple: only band rows get a score row, the sure rows are
-    represented by the two cutoff rows.  Returns (weight, L1 value), the
-    weight on the simplex, or None when the cell misses the region.
-    """
-    _, sure_in, sure_out, lambda_hi, lambda_lo = split
-    d = points.shape[1]
-    wo = region.reference
-    nv = 2 * d + 1  # w (d), lambda, phi (d)
+
+def _wall_rows(walls, nv):
+    """Rows h . y + off >= 0 over the leading projected columns of nv."""
     rows = []
-    for i in np.nonzero(~(sure_in | sure_out))[0]:
+    for h, off in walls:
         a = np.zeros(nv)
-        a[:d] = points[i]
-        a[d] = -1.0
-        rows.append((a, ">=" if member[i] else "<=", 0.0))
-    if lambda_hi is not None:
-        a = np.zeros(nv)
-        a[d] = 1.0
-        rows.append((a, "<=", lambda_hi))
-    if lambda_lo is not None:
-        a = np.zeros(nv)
-        a[d] = 1.0
-        rows.append((a, ">=", lambda_lo))
-    rows.extend(l1_envelope_rows(wo, nv, d + 1))
-    a = np.zeros(nv)
-    a[:d] = 1.0
-    rows.append((a, "=", 1.0))
-    for i in range(d):
-        a = np.zeros(nv)
-        a[i] = 1.0
-        rows.append((a, ">=", 0.0))
-    a = np.zeros(nv)
-    a[d] = 1.0
-    rows.append((a, ">=", 0.0))
-    rows.append((a.copy(), "<=", 1.0))
-    for coeffs, off in region.halfspaces:
-        a = np.zeros(nv)
-        a[:d] = coeffs
+        a[: len(h)] = h
         rows.append((a, ">=", -off))
-    c = np.zeros(nv)
-    c[d + 1:] = 1.0
-    out = simplex_lp(LpProblem(c, rows, "min"))
-    if out.status != "optimal":
-        return None
-    w = np.clip(out.x[:d], 0.0, None)
-    w = w / w.sum()
-    return tuple(float(v) for v in w), float(out.value)
+    return rows
+
+
+class TopkCell:
+    """The weights of the region that keep one subset on top: a top-k cell.
+
+    member masks the subset's rows of points and split is band_split's
+    tuple.  Only band rows get a score row against the cutoff lambda, one
+    per duplicate-point class: a fully taken class lies above the cutoff,
+    an untouched one below, and a split class rides exactly on it, so a
+    subset that splits classes gets the face where they all tie.  The sure
+    rows are stood in for by the lambda_hi and lambda_lo cutoff rows.  A
+    subset that leaves out a sure-in row or takes a sure-out one is top-k
+    nowhere in the region, and every query answers None.
+    """
+
+    def __init__(self, points, member, split, region):
+        _, sure_in, sure_out, self.lambda_hi, self.lambda_lo = split
+        self.region = region
+        self.d = points.shape[1]
+        self.empty = bool(np.any(sure_in & ~member) or np.any(sure_out & member))
+        band = np.nonzero(~(sure_in | sure_out))[0]
+        p = points[band]
+        same = np.all(p[:, None, :] == p[None, :, :], axis=2)  # duplicate-point classes
+        first = ~np.tril(same, -1).any(axis=1)  # each class by its first row
+        taken = (same[first] & member[band]).sum(axis=1)
+        size = same[first].sum(axis=1)
+        self.side = np.where(taken == size, 1, np.where(taken == 0, -1, 0))
+        self.Q, self.r = project_points(p[first])
+
+    def _cut_rows(self, nv, xi=None):
+        """Class score rows and cutoff rows over (y, lambda, ...); a xi
+        column, when given, is the margin both must clear."""
+        d = self.d
+        rows = []
+        for q, r, side in zip(self.Q, self.r, self.side):
+            a = np.zeros(nv)
+            a[: d - 1] = q
+            a[d - 1] = -1.0
+            if xi is not None and side:
+                a[xi] = -side
+            rows.append((a, _RELATION[side], -r))
+        for bound, rel, sign in ((self.lambda_hi, "<=", 1.0), (self.lambda_lo, ">=", -1.0)):
+            if bound is not None:
+                a = np.zeros(nv)
+                a[d - 1] = 1.0
+                if xi is not None:
+                    a[xi] = sign
+                rows.append((a, rel, bound))
+        return rows
+
+    def witness(self):
+        """A relative-interior point of the cell (of the tie face, when the
+        subset splits classes) in projected coordinates, or None.
+
+        Maximizes the margin xi <= 1 by which the classes clear the cutoff;
+        the point counts only when xi exceeds CELL_TOL.
+        """
+        if self.empty:
+            return None
+        d = self.d
+        nv = d + 1  # y (d-1), lambda, xi
+        walls = [project_halfspace(c, o) for c, o in self.region.halfspaces]
+        rows = self._cut_rows(nv, xi=d) + _wall_rows(walls + simplex_rows_projected(d), nv)
+        a = np.zeros(nv)
+        a[d] = 1.0
+        rows.append((a, "<=", 1.0))
+        out = simplex_lp(LpProblem(a, rows, "max"))
+        if out.status != "optimal" or out.value <= CELL_TOL:
+            return None
+        return tuple(float(v) for v in out.x[: d - 1])
+
+    def closest(self):
+        """The closed cell's point closest in L1 to the region's reference:
+        (weight, distance), or None when the cell misses the region."""
+        if self.empty:
+            return None
+        d = self.d
+        nv = 2 * d  # y (d-1), lambda, phi (d)
+        wo = self.region.reference.weights
+        eye = np.eye(d)
+        # phi_i >= |w_i - wo_i|, one row per sign
+        envelope = _wall_rows(
+            [project_halfspace(s * eye[i], -s * wo[i]) for i in range(d) for s in (-1.0, 1.0)], nv
+        )
+        for j, (a, _, _) in enumerate(envelope):
+            a[d + j // 2] = 1.0
+        rows = self._cut_rows(nv) + _wall_rows(projected_region_rows(self.region), nv) + envelope
+        c = np.zeros(nv)
+        c[d:] = 1.0
+        out = simplex_lp(LpProblem(c, rows, "min"))
+        if out.status != "optimal":
+            return None
+        return lift_weight(out.x[: d - 1]), float(out.value)
+
+    def center(self):
+        """Chebyshev centre of the cell (Boyd and Vandenberghe, section 8.5):
+        (weight, radius, box radius, degenerate), or None.
+
+        The largest ball in projected coordinates that clears every pair of
+        a band class on or above the cutoff and another on or below it, and
+        every region row, each scaled to unit L2 length.  A split class ties
+        with itself under every weight, so the cell has no interior: its own
+        pair adds no row, the weight is the centre of the cell the other
+        rows leave, and the radius reads 0 with the degenerate flag set, as
+        it does for a radius within TIE_EPS of 0.  The box radius is the
+        per-component half-width that no wall can cross.
+        """
+        if self.empty:
+            return None
+        d = self.d
+        ins, outs = np.nonzero(self.side >= 0)[0], np.nonzero(self.side <= 0)[0]
+        g = (self.Q[ins, None, :] - self.Q[None, outs, :]).reshape(-1, d - 1)
+        h = (self.r[ins, None] - self.r[None, outs]).reshape(-1)
+        other = (ins[:, None] != outs[None, :]).reshape(-1)
+        rows = []
+        for gi, hi in list(zip(g[other], h[other])) + projected_region_rows(self.region):
+            norm = float(np.linalg.norm(gi))
+            if norm <= _ZERO_ROW:
+                if hi < -TIE_EPS:
+                    return None  # violated under every weight, cell empty
+                continue
+            rows.append((np.append(gi / norm, -1.0), ">=", -hi / norm))
+        radius = np.eye(d)[d - 1]
+        rows.append((radius, ">=", 0.0))
+        out = simplex_lp(LpProblem(radius, rows, "max"))
+        if out.status != "optimal":
+            return None
+        margin = max(0.0, float(out.value))
+        degenerate = bool(np.any(self.side == 0)) or margin <= TIE_EPS
+        if degenerate:
+            margin = 0.0
+        max_l1 = max([1.0] + [float(np.abs(row[: d - 1]).sum()) for row, _, _ in rows])
+        return lift_weight(out.x[: d - 1]), margin, margin / max_l1, degenerate
 
 
 def hyperplane_side(coeffs, offset, points):

@@ -4,13 +4,11 @@ The arrangement of score-equality hyperplanes partitions the region into
 cells, each with a fixed top-k subset, and faces where duplicate-point
 classes tie at the cutoff.  From witness points the traversal expands
 these nodes breadth-first through single-candidate swaps; each distinct
-subset a swap reaches gets one LP for a witness inside the region.  Fairness
-of every visited node is delegated to the verify module at its witness, so
-split classes tied there stay exact.
-
-A cutoff band keeps the LPs small: candidates provably inside every top-k
-over the region are fixed in, candidates provably outside are fixed out,
-and two cutoff rows keep the reduced model equivalent to the full one.
+subset a swap reaches gets one witness LP of its geometry.TopkCell, which
+holds only the cutoff band's rows.  Fairness of every visited node is
+delegated to the verify module at its witness, so split classes tied there
+stay exact; a fair node's weight is its cell's closest point to the
+reference.
 
 The walk is serial, one first-in first-out queue: its work is pure-Python
 LP code that holds the GIL, so threads cannot overlap it and only add
@@ -27,21 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BudgetExceededError, UTILITY_LOSS, WeightVector
-from .geometry import (
-    LpProblem,
-    band_split,
-    cell_min_wdiff,
-    hyperplane_side,
-    lift_weight,
-    project_halfspace,
-    project_points,
-    simplex_lp,
-    simplex_rows_projected,
-)
+from .core import BudgetExceededError, UTILITY_LOSS
+from .geometry import TopkCell, band_split, hyperplane_side, lift_weight, project_points
 from .verify import decompose_topk, finish_result, max_fair_utility, verify_fair
 
-CELL_TOL = 1e-9
 DEFAULT_SWAP_BUDGET = 5_000_000
 
 
@@ -65,20 +52,19 @@ class TraversalLedger:
 
 
 class _Workspace:
-    """Per-run geometry shared by every LP of a traversal."""
+    """Per-run geometry shared by every cell of a traversal."""
 
     def __init__(self, dataset, k, region):
         self.dataset = dataset
         self.k = k
-        self.d = dataset.d
+        self.region = region
         pts = dataset.points
         self.split = band_split(pts, k, region)
-        self.verts, self.sure_in, self.sure_out, self.lambda_hi, self.lambda_lo = self.split
-        self.band = ~(self.sure_in | self.sure_out)
+        self.verts, sure_in, sure_out, _, _ = self.split
+        self.band = ~(sure_in | sure_out)
         self.Q, self.r = project_points(pts)
         self.ids = dataset.id_array
         self.pos = {cid: i for i, cid in enumerate(dataset.ids)}
-        self.region_rows = [project_halfspace(c, o) for c, o in region.halfspaces]
         # duplicate-point classes for canonical subset keys
         classes = {}
         for c in dataset.candidates:
@@ -100,66 +86,10 @@ class _Workspace:
             out.extend(cls[:m])
         return tuple(sorted(out))
 
-    def cell_problem(self, subset):
-        """max xi so the band part of subset separates strictly in V.
-
-        Separation works on duplicate-point classes: a fully taken class
-        must clear the threshold from above, an untouched one from below,
-        and every split class rides exactly on it, so a subset that splits
-        classes gets the face where they all tie at the pivot.  A split or
-        missed sure-in class (or the reverse for sure-out) is impossible
-        anywhere in the region and yields None.
-        """
-        d = self.d
-        nv = d + 1  # variables: y (d-1), lambda, xi
-        rows = []
-        member = set(subset)
-        seen = set()
-        for i in range(len(self.ids)):
-            cid = int(self.ids[i])
-            cls = self.dup_class[cid]
-            if cls in seen:
-                continue
-            seen.add(cls)
-            taken = sum(1 for c in cls if c in member)
-            if not self.band[i]:
-                impossible = (self.sure_in[i] and taken < len(cls)) or (
-                    self.sure_out[i] and taken > 0
-                )
-                if impossible:
-                    return None
-                continue
-            a = np.zeros(nv)
-            a[: d - 1] = self.Q[i]
-            a[d - 1] = -1.0
-            if taken == len(cls):
-                a[d] = -1.0
-                rows.append((a, ">=", -self.r[i]))
-            elif taken == 0:
-                a[d] = 1.0
-                rows.append((a, "<=", -self.r[i]))
-            else:
-                rows.append((a, "=", -self.r[i]))
-        if self.lambda_hi is not None:
-            a = np.zeros(nv)
-            a[d - 1] = 1.0
-            a[d] = 1.0
-            rows.append((a, "<=", self.lambda_hi))
-        if self.lambda_lo is not None:
-            a = np.zeros(nv)
-            a[d - 1] = 1.0
-            a[d] = -1.0
-            rows.append((a, ">=", self.lambda_lo))
-        for h, off in self.region_rows + simplex_rows_projected(d):
-            a = np.zeros(nv)
-            a[: d - 1] = h
-            rows.append((a, ">=", -off))
-        a = np.zeros(nv)
-        a[d] = 1.0
-        rows.append((a, "<=", 1.0))
-        c = np.zeros(nv)
-        c[d] = 1.0
-        return LpProblem(c, rows, "max")
+    def cell(self, subset):
+        """The top-k cell of subset over the region."""
+        member = np.isin(self.ids, subset)
+        return TopkCell(self.dataset.points, member, self.split, self.region)
 
 
 def initial_cell(dataset, k, region, witness=None):
@@ -176,22 +106,6 @@ def _initial_cell(ws, witness):
     decomp = decompose_topk(ws.dataset, ws.k, lift_weight(witness))
     subset = ws.canonical(decomp.order[: ws.k])
     return CellNode(subset=subset, witness=tuple(float(v) for v in witness))
-
-
-def cell_witness(dataset, k, subset, region):
-    """Witness of the node (cell or tie face) of subset, or None."""
-    ws = _Workspace(dataset, k, region)
-    return _cell_witness(ws, subset)
-
-
-def _cell_witness(ws, subset):
-    problem = ws.cell_problem(subset)
-    if problem is None:
-        return None
-    out = simplex_lp(problem)
-    if out.status != "optimal" or out.value <= CELL_TOL:
-        return None
-    return tuple(float(v) for v in out.x[: ws.d - 1])
 
 
 def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGET,
@@ -246,8 +160,7 @@ def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGE
                 ledger.fair_cells += 1
                 sols.append((-hit[1], node.subset, node.witness, None))
         elif verify_fair(dataset, k, spec, w_node):
-            member = np.isin(ws.ids, node.subset)
-            cell = cell_min_wdiff(dataset.points, member, ws.split, region)
+            cell = ws.cell(node.subset).closest()
             if cell is not None:
                 ledger.fair_cells += 1
                 sols.append((cell[1], node.subset, node.witness, cell[0]))
@@ -271,7 +184,7 @@ def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGE
                 ledger.swap_tests += 1
                 if ledger.swap_tests > swap_budget:
                     return False
-                witness = _cell_witness(ws, subset)
+                witness = ws.cell(subset).witness()
                 if witness is not None:
                     work.append(CellNode(subset, witness))
         return True
@@ -287,12 +200,11 @@ def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGE
         # subsets are unique, so (key, subset) orders the solutions totally
         _, subset, witness, point = min(sols, key=lambda s: (s[0], s[1]))
         if point is None:  # utility: prefer the cell point closest to the reference
-            member = np.isin(ws.ids, subset)
-            cell = cell_min_wdiff(dataset.points, member, ws.split, region)
+            cell = ws.cell(subset).closest()
             point = cell[0] if cell is not None else None
         weights = [lift_weight(witness)]
         if point is not None:
-            weights.insert(0, WeightVector(point))
+            weights.insert(0, point)
         result = finish_result(dataset, k, spec, region, weights, "klevel")
     if not within_budget:
         raise BudgetExceededError(

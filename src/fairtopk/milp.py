@@ -9,10 +9,10 @@ distance to the reference weights or the selected reference utility.
 
 The solver is a best-first branch and bound over the dense-simplex
 relaxation, reduced to the cutoff band.  Integral relaxation points are
-checked and placed by klevel's cell LP (geometry.cell_min_wdiff): the
-incumbent weight is the subset's closest cell point to the reference, and
-a subset whose cell misses the region gets a no-good cut.  The answer's
-witness and value come from verify.
+checked and placed by the top-k cell that klevel walks
+(geometry.TopkCell): the incumbent weight is the cell's closest point to
+the reference, and a subset whose cell misses the region gets a no-good
+cut.  The answer's witness and value come from verify.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TIE_EPS, BudgetExceededError, W_DIFFERENCE, WeightVector
-from .geometry import LpProblem, band_split, cell_min_wdiff, l1_envelope_rows, simplex_lp
+from .core import TIE_EPS, BudgetExceededError, W_DIFFERENCE
+from .geometry import LpProblem, TopkCell, band_split, l1_envelope_rows, simplex_lp
 from .verify import finish_result
 
 INT_TOL = 1e-6
@@ -218,7 +218,7 @@ def solve_milp(model, node_budget=DEFAULT_NODE_BUDGET):
             return None
         return finish_result(
             model.dataset, model.k, model.spec, model.region,
-            [WeightVector(incumbent)], "milp",
+            [incumbent], "milp",
         )
 
     serial = 0
@@ -250,7 +250,7 @@ def solve_milp(model, node_budget=DEFAULT_NODE_BUDGET):
         frac = np.abs(delta - np.round(delta))
         if frac.max() <= INT_TOL:
             ones = np.round(delta) > 0.5
-            cell = cell_min_wdiff(pts, ones, split, model.region)
+            cell = TopkCell(pts, ones, split, model.region).closest()
             if cell is not None:
                 if model.objective == W_DIFFERENCE:
                     value = cell[1]

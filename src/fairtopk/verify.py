@@ -353,7 +353,8 @@ def reference_topk_utility(dataset, k, wo):
 
 
 def finish_result(dataset, k, spec, region, weights, engine):
-    """FairResult at the first candidate weight that verifies fair, or None.
+    """FairResult at the first candidate weight that lies in the region and
+    verifies fair, or None.
 
     Engines hand over their candidate weights in order of preference;
     witness, value and utility are always recomputed here, so every engine
@@ -361,6 +362,8 @@ def finish_result(dataset, k, spec, region, weights, engine):
     """
     wo = region.reference
     for weight in weights:
+        if not region.contains(weight):
+            continue
         if region.objective == W_DIFFERENCE:
             witness = fair_topk_witness(dataset, k, spec, weight, W_DIFFERENCE)
             if witness is None:

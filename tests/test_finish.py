@@ -14,7 +14,12 @@ from fairtopk.core import (
 from fairtopk.klevel import traverse
 from fairtopk.milp import build_milp, solve_milp
 from fairtopk.sweep2d import sweep_select
-from fairtopk.verify import fair_topk_witness, max_fair_utility, reference_topk_utility
+from fairtopk.verify import (
+    fair_topk_witness,
+    finish_result,
+    max_fair_utility,
+    reference_topk_utility,
+)
 from conftest import tied_instance
 
 ENGINES = {
@@ -68,3 +73,16 @@ def test_seeded_batch_reports_recomputed_numbers(engine, objective):
         solved += 1
         assert_recomputed(data, k, spec, region, res)
     assert solved >= 2
+
+
+@pytest.mark.parametrize("objective", [W_DIFFERENCE, UTILITY_LOSS])
+def test_a_weight_outside_the_region_is_passed_over(objective, five_dataset, five_spec):
+    # both weights put (2, 4) or (3, 4) on top, fair either way; only the
+    # second lies in the box, whose first component ends at 0.6
+    region = WeightRegion.box(WeightVector((0.5, 0.5)), 0.1, objective=objective)
+    outside = WeightVector((0.6 + 1e-6, 0.4 - 1e-6))
+    inside = WeightVector((0.58, 0.42))
+    assert not region.contains(outside) and region.contains(inside)
+    res = finish_result(five_dataset, 2, five_spec, region, [outside, inside], "klevel")
+    assert res.weight.weights == inside.weights
+    assert_recomputed(five_dataset, 2, five_spec, region, res)

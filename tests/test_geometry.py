@@ -1,11 +1,14 @@
 """LP kernels, simplex projection, and region vertex enumeration."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
-from fairtopk.core import WeightRegion, WeightVector
+import fairtopk.geometry
+from fairtopk.core import LpStallError, WeightRegion, WeightVector
 from fairtopk.geometry import (
     LpProblem,
     dual_line,
@@ -44,6 +47,9 @@ def random_lp(rng, nvars, nrows, feasible_bias=True):
         rows.append((e, "<=", 50.0))
         rows.append((e, ">=", -50.0))
     return LpProblem(c, rows, direction="min")
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def scipy_reference(problem):
@@ -150,6 +156,37 @@ class TestLpKernels:
         assert_allclose(out.value, 2.0, atol=1e-9)
         out = simplex_lp(prob)
         assert_allclose(out.value, 2.0, atol=1e-9)
+
+    @pytest.mark.parametrize("name", ["singular_phase_one_lp", "singular_phase_one_child_lp"])
+    def test_drifted_phase_one_answers_infeasible(self, name):
+        # two branch-and-bound nodes of solve_milp on 81 kskyband rows
+        # (default_rng(1030): random_instance n=90, d=3, 10% duplicates;
+        # k=30, wdiff box 0.08), 88 variables and 302 rows (63 of them "=")
+        # or, one fixing deeper, 303 (64).  Pivoting on ratio-test entries
+        # near 1e-11 drifted the tableau until phase 1 ended on a singular
+        # basis, with an artificial total of 360.5 or of 0
+        with np.load(DATA / f"{name}.npz") as f:
+            rows = [(a, str(rel), b) for a, rel, b in zip(f["a"], f["relation"], f["b"])]
+            prob = LpProblem(f["c"], rows, str(f["direction"]))
+        assert scipy_reference(prob)[0] == "infeasible"
+        assert simplex_lp(prob).status == "infeasible"
+
+    @pytest.mark.parametrize("final", [[0, 1], [2, 2]], ids=["zero-total", "positive-total"])
+    def test_singular_phase_one_basis(self, final, monkeypatch):
+        # columns: x+ 0, x- 1 (parallel), artificials 2 and 3.  A singular
+        # final basis is a stall, unless its artificial total (2 for [2, 2])
+        # already proves the LP infeasible
+        def drifted(A, b, basis, cost, budget, phase):
+            basis[:] = final
+            return (A, b), 0
+
+        monkeypatch.setattr(fairtopk.geometry, "_simplex_iterate", drifted)
+        prob = LpProblem([1.0], [((1.0,), "=", 1.0), ((1.0,), "=", 1.0)])
+        if final == [2, 2]:
+            assert simplex_lp(prob).status == "infeasible"
+        else:
+            with pytest.raises(LpStallError):
+                simplex_lp(prob)
 
 
 class TestProjection:

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 import fairtopk.geometry
-import fairtopk.klevel
 from fairtopk.core import (
     BudgetExceededError,
     Candidate,
@@ -16,8 +15,8 @@ from fairtopk.core import (
     WeightRegion,
     WeightVector,
 )
-from fairtopk.geometry import band_split, cell_min_wdiff, lift_weight
-from fairtopk.klevel import TraversalLedger, cell_witness, initial_cell, traverse
+from fairtopk.geometry import TopkCell, band_split, lift_weight
+from fairtopk.klevel import TraversalLedger, initial_cell, traverse
 from fairtopk.milp import build_milp, solve_milp
 from fairtopk.pipeline import RunConfig, select
 from fairtopk.sweep2d import sweep_select
@@ -37,10 +36,10 @@ def seat_off_reference(data, k, wo):
     return (held + 1, k) if held < k else (0, k - 1)
 
 
-def cell_point(data, k, subset, region):
-    """The shared cell LP for a subset given by its ids."""
+def cell_of(data, k, subset, region):
+    """The top-k cell of a subset given by its ids."""
     member = np.isin(data.id_array, subset)
-    return cell_min_wdiff(data.points, member, band_split(data.points, k, region), region)
+    return TopkCell(data.points, member, band_split(data.points, k, region), region)
 
 
 class TestCells:
@@ -54,7 +53,7 @@ class TestCells:
     def test_swap_witness_lands_in_the_new_cell(self, five_dataset):
         region = full_region(WeightVector((0.5, 0.5)))
         for target in [(1, 4), (2, 4), (3, 4)]:
-            witness = cell_witness(five_dataset, 2, target, region)
+            witness = cell_of(five_dataset, 2, target, region).witness()
             assert witness is not None, f"cell {target} must be reachable"
             decomp = decompose_topk(five_dataset, 2, lift_weight(np.asarray(witness)))
             assert set(decomp.order[:2]) == set(target)
@@ -65,41 +64,41 @@ class TestCells:
     def test_dominant_candidate_cannot_be_swapped_out(self, five_dataset):
         # (0.9, 0.9) beats every other point at every weight
         region = full_region(WeightVector((0.5, 0.5)))
-        assert cell_witness(five_dataset, 2, (0, 1), region) is None
+        assert cell_of(five_dataset, 2, (0, 1), region).witness() is None
 
     def test_swap_respects_region_bounds(self, five_dataset):
         region = WeightRegion.box(WeightVector((0.5, 0.5)), epsilon=0.03)
         # cell of {2, 4} needs x > 5/9, outside [0.47, 0.53]
-        assert cell_witness(five_dataset, 2, (2, 4), region) is None
+        assert cell_of(five_dataset, 2, (2, 4), region).witness() is None
 
-    def test_cell_min_wdiff_clamps_to_cell_border(self, five_dataset):
+    def test_closest_clamps_to_cell_border(self, five_dataset):
         region = full_region(WeightVector((0.5, 0.5)))
-        got = cell_point(five_dataset, 2, (2, 4), region)
+        got = cell_of(five_dataset, 2, (2, 4), region).closest()
         assert got is not None
         point, value = got
         assert_allclose(value, 1 / 9, atol=1e-9)
         assert_allclose(point[0], 5 / 9, atol=1e-9)
 
-    def test_cell_min_wdiff_zero_inside_own_cell(self, five_dataset):
+    def test_closest_zero_inside_own_cell(self, five_dataset):
         region = full_region(WeightVector((0.58, 0.42)))
-        got = cell_point(five_dataset, 2, (2, 4), region)
+        got = cell_of(five_dataset, 2, (2, 4), region).closest()
         point, value = got
         assert_allclose(value, 0.0, atol=1e-12)
         assert_allclose(point, (0.58, 0.42), atol=1e-9)
 
-    def test_cell_min_wdiff_split_duplicate_class_rides_on_the_cut(self):
+    def test_closest_split_duplicate_class_rides_on_the_cut(self):
         # candidates 1 and 2 share a point; the subset {1, 3} splits them,
         # so its closed cell is where that class sits exactly at the cutoff
         points = [(0.4, 0.7), (0.6, 0.5), (0.6, 0.5), (0.9, 0.9)]
         data = Dataset([Candidate(i, p, set()) for i, p in enumerate(points)])
         region = full_region(WeightVector((0.3, 0.7)))
-        got = cell_point(data, 2, (1, 3), region)
+        got = cell_of(data, 2, (1, 3), region).closest()
         assert got is not None
         point, value = got
         # the class clears candidate 0 only from w_1 = 0.5 on
         assert_allclose(point, (0.5, 0.5), atol=1e-9)
         assert_allclose(value, 0.4, atol=1e-9)
-        decomp = decompose_topk(data, 2, WeightVector(point))
+        decomp = decompose_topk(data, 2, point)
         assert decomp.strict == (3,)
         assert {1, 2} <= set(decomp.tied)
 
@@ -201,15 +200,16 @@ class TestTraverse:
         assert pruned >= 10
 
     def test_each_cell_lp_runs_once(self, monkeypatch):
-        real = fairtopk.klevel.simplex_lp
+        real = fairtopk.geometry.simplex_lp
         seen = []
 
         def recording(problem):
-            seen.append((tuple(problem.c), tuple(
-                (tuple(a), rel, b) for a, rel, b in problem.rows)))
+            if problem.direction == "max":  # witness LPs; closest() minimizes
+                seen.append((tuple(problem.c), tuple(
+                    (tuple(a), rel, b) for a, rel, b in problem.rows)))
             return real(problem)
 
-        monkeypatch.setattr(fairtopk.klevel, "simplex_lp", recording)
+        monkeypatch.setattr(fairtopk.geometry, "simplex_lp", recording)
         rng = np.random.default_rng(91)
         total = 0
         for trial in range(6):

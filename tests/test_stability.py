@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
-import fairtopk.stability
+import fairtopk.geometry
 from fairtopk.core import Candidate, Dataset, WeightRegion, WeightVector
 from fairtopk.geometry import (
+    TopkCell,
     band_split,
     lift_weight,
     projected_region_rows,
@@ -101,6 +102,36 @@ def chebyshev_reference(data, subset, region):
     return -out.fun, unit
 
 
+def l1_reference(data, subset, region):
+    """L1 distance from the reference to the closed cell (HiGHS), or None.
+
+    Variables (w, lambda, phi) over the full weight: one score row per
+    candidate, phi >= |w - wo|, the simplex and the region rows.
+    """
+    d, n = data.d, data.n
+    wo = np.asarray(region.reference.weights)
+    pts = data.points
+    member = np.isin(data.id_array, subset)
+    eye = np.eye(d)
+    # rows A x <= b over x = (w, lambda, phi)
+    A = [np.concatenate([-p if m else p, [1.0 if m else -1.0], np.zeros(d)])
+         for p, m in zip(pts, member)]
+    b = [0.0] * n
+    for i in range(d):
+        for s in (-1.0, 1.0):
+            A.append(np.concatenate([s * eye[i], [0.0], -eye[i]]))
+            b.append(s * wo[i])
+    for coeffs, off in region.halfspaces:
+        A.append(np.concatenate([-np.asarray(coeffs), np.zeros(d + 1)]))
+        b.append(off)
+    c = np.concatenate([np.zeros(d + 1), np.ones(d)])
+    bounds = [(0, None)] * d + [(None, None)] * (d + 1)
+    out = linprog(c, A_ub=np.array(A), b_ub=np.array(b),
+                  A_eq=np.concatenate([np.ones(d), np.zeros(d + 1)])[None, :], b_eq=[1.0],
+                  bounds=bounds, method="highs")
+    return None if out.status == 2 else out.fun
+
+
 def point_in_box(rng, wo, eps):
     """A weight within eps of wo in every component, on the simplex."""
     u = rng.dirichlet(np.ones(len(wo)))
@@ -180,9 +211,10 @@ class TestAgreementAcrossImplementations:
     @pytest.mark.parametrize("d", [3, 4])
     def test_band_rows_give_the_full_chebyshev_radius(self, d):
         # the cutoff band drops every pair with a sure candidate; the radius
-        # over all k(n-k) pairs must not change
+        # over all k(n-k) pairs must not change, nor the closest point over
+        # all n score rows, and dropping a sure-in candidate empties the cell
         rng = np.random.default_rng(337 + d)
-        compared = reduced = 0
+        compared = reduced = dropped = 0
         for trial in range(30):
             k = int(rng.integers(1, 6))
             data, _ = tied_instance(rng, n=14, d=d, k=k, dup_rate=0.25)
@@ -190,19 +222,35 @@ class TestAgreementAcrossImplementations:
             eps = float(rng.uniform(0.05, 0.4))
             region = region_box(wo, eps)
             subset = tuple(decompose_topk(data, k, point_in_box(rng, wo, eps)).order[:k])
+            split = band_split(data.points, k, region)
+            _, sure_in, sure_out, _, _ = split
+            member = np.isin(data.id_array, subset)
+            closest = TopkCell(data.points, member, split, region).closest()
+            l1 = l1_reference(data, subset, region)
+            assert (closest is None) == (l1 is None), f"trial {trial}"
+            if closest is not None:
+                assert abs(closest[1] - l1) <= 1e-9, f"trial {trial}"
+                assert region.contains(closest[0]), f"trial {trial}"
+            if sure_in.any():
+                dropped += 1
+                short = member & ~(sure_in & (np.cumsum(sure_in) == 1))
+                cell = TopkCell(data.points, short, split, region)
+                assert cell.witness() is None, f"trial {trial}"
+                assert cell.closest() is None, f"trial {trial}"
+                assert cell.center() is None, f"trial {trial}"
             res = stable_weight(data, k, subset, region)
             ref = chebyshev_reference(data, subset, region)
             assert (res is None) == (ref is None), f"trial {trial}"
             if res is None:
                 continue
             compared += 1
-            _, sure_in, sure_out, _, _ = band_split(data.points, k, region)
             reduced += bool(sure_in.any() or sure_out.any())
             radius, _ = ref
             expected = 0.0 if res.degenerate else radius
             assert abs(res.margin - expected) <= 1e-9, f"trial {trial}"
         assert compared > 20
         assert reduced > 10
+        assert dropped > 5
 
     def test_lp_holds_only_band_pairs(self, monkeypatch):
         data = three_d_with_sure_candidates()
@@ -215,13 +263,13 @@ class TestAgreementAcrossImplementations:
         band = ~(sure_in | sure_out)
         band_pairs = int((band & member).sum()) * int((band & ~member).sum())
         seen = []
-        real = fairtopk.stability.simplex_lp
+        real = fairtopk.geometry.simplex_lp
 
         def recording(problem):
             seen.append(problem)
             return real(problem)
 
-        monkeypatch.setattr(fairtopk.stability, "simplex_lp", recording)
+        monkeypatch.setattr(fairtopk.geometry, "simplex_lp", recording)
         assert stable_weight(data, k, subset, region) is not None
         assert len(seen) == 1
         assert band_pairs < k * (data.n - k)

@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -435,6 +436,19 @@ def region_interval(region):
     return min(xs), max(xs)
 
 
+def hyperplane_side(coeffs, offsets, points):
+    """Per hyperplane coeffs . y + offset = 0: +1 or -1 when all points lie
+    strictly on that side, else 0.  coeffs stacks the normals on its last
+    axis and offsets has the shape of the rest, so one call tests many."""
+    offsets = np.asarray(offsets, dtype=float)
+    if len(points) == 0:
+        return np.zeros(offsets.shape, dtype=int)
+    vals = np.asarray(coeffs, dtype=float) @ np.asarray(points, dtype=float).T
+    vals += offsets[..., None]
+    above, below = np.all(vals > FEAS_TOL, axis=-1), np.all(vals < -FEAS_TOL, axis=-1)
+    return np.where(above, 1, np.where(below, -1, 0))
+
+
 def band_split(points, k, region):
     """Cutoff band of the top-k over the region.
 
@@ -487,46 +501,88 @@ def _wall_rows(walls, nv):
     return rows
 
 
+class CutoffBand:
+    """What every top-k cell of one (dataset, k, region) shares.
+
+    band_split's sure rows stay on one side of the cutoff everywhere in the
+    region.  The band rows fall into duplicate-point classes, numbered by
+    their first band row so every cell LP keeps the band's row order; each
+    class has a size and one projected score form (Q, r).  walls are the
+    region's projected rows, simplex first, and crosses[a][b] tells whether
+    the tie hyperplane of classes a and b meets the region, so that moving
+    a seat between them can change the top-k there.
+    """
+
+    def __init__(self, dataset, k, region):
+        self.dataset, self.region, self.d = dataset, region, dataset.d
+        points = dataset.points
+        split = band_split(points, k, region)
+        self.verts, self.sure_in, self.sure_out, self.lambda_hi, self.lambda_lo = split
+        self.rows = np.nonzero(~(self.sure_in | self.sure_out))[0]
+        _, first, inverse = np.unique(
+            points[self.rows], axis=0, return_index=True, return_inverse=True
+        )
+        rank = np.argsort(np.argsort(first))  # class numbers in first-band-row order
+        self.cls = rank[inverse.reshape(-1)]  # the inverse's shape varies across numpy 2.0.x
+        self.size = np.bincount(self.cls, minlength=len(first))
+        self.Q, self.r = project_points(points[self.rows[np.sort(first)]])
+        self.walls = projected_region_rows(region)
+
+    @cached_property
+    def crosses(self):
+        diff = self.Q[:, None, :] - self.Q[None, :, :]
+        off = self.r[:, None] - self.r[None, :]
+        return (hyperplane_side(diff, off, self.verts) == 0).tolist()
+
+    def seats(self, subset):
+        """Seats the subset, a sequence of ids, takes in each class, or None
+        when it leaves out a sure-in row or takes a sure-out one: then it is
+        top-k nowhere in the region."""
+        member = np.isin(self.dataset.id_array, subset)
+        if int(member.sum()) != len(subset):
+            raise ValueError(f"subset {tuple(subset)} repeats an id or has one not in the data")
+        if np.any(self.sure_in & ~member) or np.any(self.sure_out & member):
+            return None
+        return tuple(np.bincount(self.cls[member[self.rows]], minlength=len(self.size)).tolist())
+
+    def subset(self, seats):
+        """The ids of a seat tuple: every sure-in id and the lowest of each class."""
+        ids = self.dataset.id_array
+        out = ids[self.sure_in].tolist()
+        for c, s in enumerate(seats):
+            out += sorted(ids[self.rows[self.cls == c]].tolist())[:s]
+        return tuple(sorted(out))
+
+
 class TopkCell:
     """The weights of the region that keep one subset on top: a top-k cell.
 
-    member masks the subset's rows of points and split is band_split's
-    tuple.  Only band rows get a score row against the cutoff lambda, one
-    per duplicate-point class: a fully taken class lies above the cutoff,
-    an untouched one below, and a split class rides exactly on it, so a
-    subset that splits classes gets the face where they all tie.  The sure
-    rows are stood in for by the lambda_hi and lambda_lo cutoff rows.  A
-    subset that leaves out a sure-in row or takes a sure-out one is top-k
-    nowhere in the region, and every query answers None.
+    A view over a CutoffBand and the subset's seats in its classes.  Each
+    class gets one score row against the cutoff lambda: a fully taken class
+    lies above it, an untouched one below, and a split class rides exactly
+    on it, so a subset that splits classes gets the face where they all
+    tie.  The sure rows are stood in for by the lambda_hi and lambda_lo
+    cutoff rows.
     """
 
-    def __init__(self, points, member, split, region):
-        _, sure_in, sure_out, self.lambda_hi, self.lambda_lo = split
-        self.region = region
-        self.d = points.shape[1]
-        self.empty = bool(np.any(sure_in & ~member) or np.any(sure_out & member))
-        band = np.nonzero(~(sure_in | sure_out))[0]
-        p = points[band]
-        same = np.all(p[:, None, :] == p[None, :, :], axis=2)  # duplicate-point classes
-        first = ~np.tril(same, -1).any(axis=1)  # each class by its first row
-        taken = (same[first] & member[band]).sum(axis=1)
-        size = same[first].sum(axis=1)
-        self.side = np.where(taken == size, 1, np.where(taken == 0, -1, 0))
-        self.Q, self.r = project_points(p[first])
+    def __init__(self, band, seats):
+        self.band = band
+        seats = np.asarray(seats, dtype=int)
+        self.side = np.where(seats == band.size, 1, np.where(seats == 0, -1, 0))
 
     def _cut_rows(self, nv, xi=None):
         """Class score rows and cutoff rows over (y, lambda, ...); a xi
         column, when given, is the margin both must clear."""
-        d = self.d
+        band, d = self.band, self.band.d
         rows = []
-        for q, r, side in zip(self.Q, self.r, self.side):
+        for q, r, side in zip(band.Q, band.r, self.side):
             a = np.zeros(nv)
             a[: d - 1] = q
             a[d - 1] = -1.0
             if xi is not None and side:
                 a[xi] = -side
             rows.append((a, _RELATION[side], -r))
-        for bound, rel, sign in ((self.lambda_hi, "<=", 1.0), (self.lambda_lo, ">=", -1.0)):
+        for bound, rel, sign in ((band.lambda_hi, "<=", 1.0), (band.lambda_lo, ">=", -1.0)):
             if bound is not None:
                 a = np.zeros(nv)
                 a[d - 1] = 1.0
@@ -542,12 +598,10 @@ class TopkCell:
         Maximizes the margin xi <= 1 by which the classes clear the cutoff;
         the point counts only when xi exceeds CELL_TOL.
         """
-        if self.empty:
-            return None
-        d = self.d
+        d = self.band.d
         nv = d + 1  # y (d-1), lambda, xi
-        walls = [project_halfspace(c, o) for c, o in self.region.halfspaces]
-        rows = self._cut_rows(nv, xi=d) + _wall_rows(walls + simplex_rows_projected(d), nv)
+        walls = self.band.walls[d:] + self.band.walls[:d]  # region rows, then the simplex's
+        rows = self._cut_rows(nv, xi=d) + _wall_rows(walls, nv)
         a = np.zeros(nv)
         a[d] = 1.0
         rows.append((a, "<=", 1.0))
@@ -559,11 +613,9 @@ class TopkCell:
     def closest(self):
         """The closed cell's point closest in L1 to the region's reference:
         (weight, distance), or None when the cell misses the region."""
-        if self.empty:
-            return None
-        d = self.d
+        d = self.band.d
         nv = 2 * d  # y (d-1), lambda, phi (d)
-        wo = self.region.reference.weights
+        wo = self.band.region.reference.weights
         eye = np.eye(d)
         # phi_i >= |w_i - wo_i|, one row per sign
         envelope = _wall_rows(
@@ -571,7 +623,7 @@ class TopkCell:
         )
         for j, (a, _, _) in enumerate(envelope):
             a[d + j // 2] = 1.0
-        rows = self._cut_rows(nv) + _wall_rows(projected_region_rows(self.region), nv) + envelope
+        rows = self._cut_rows(nv) + _wall_rows(self.band.walls, nv) + envelope
         c = np.zeros(nv)
         c[d:] = 1.0
         out = simplex_lp(LpProblem(c, rows, "min"))
@@ -592,15 +644,13 @@ class TopkCell:
         it does for a radius within TIE_EPS of 0.  The box radius is the
         per-component half-width that no wall can cross.
         """
-        if self.empty:
-            return None
-        d = self.d
+        band, d = self.band, self.band.d
         ins, outs = np.nonzero(self.side >= 0)[0], np.nonzero(self.side <= 0)[0]
-        g = (self.Q[ins, None, :] - self.Q[None, outs, :]).reshape(-1, d - 1)
-        h = (self.r[ins, None] - self.r[None, outs]).reshape(-1)
+        g = (band.Q[ins, None, :] - band.Q[None, outs, :]).reshape(-1, d - 1)
+        h = (band.r[ins, None] - band.r[None, outs]).reshape(-1)
         other = (ins[:, None] != outs[None, :]).reshape(-1)
         rows = []
-        for gi, hi in list(zip(g[other], h[other])) + projected_region_rows(self.region):
+        for gi, hi in list(zip(g[other], h[other])) + band.walls:
             norm = float(np.linalg.norm(gi))
             if norm <= _ZERO_ROW:
                 if hi < -TIE_EPS:
@@ -618,16 +668,4 @@ class TopkCell:
             margin = 0.0
         max_l1 = max([1.0] + [float(np.abs(row[: d - 1]).sum()) for row, _, _ in rows])
         return lift_weight(out.x[: d - 1]), margin, margin / max_l1, degenerate
-
-
-def hyperplane_side(coeffs, offset, points):
-    """+1 or -1 when all points are strictly on one side, else 0."""
-    if len(points) == 0:
-        return 0
-    vals = np.asarray(points) @ np.asarray(coeffs, dtype=float) + offset
-    if np.all(vals > FEAS_TOL):
-        return 1
-    if np.all(vals < -FEAS_TOL):
-        return -1
-    return 0
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import TIE_EPS, BudgetExceededError, W_DIFFERENCE
-from .geometry import LpProblem, TopkCell, band_split, l1_envelope_rows, simplex_lp
+from .geometry import CutoffBand, LpProblem, TopkCell, l1_envelope_rows, simplex_lp
 from .verify import finish_result
 
 INT_TOL = 1e-6
@@ -161,25 +161,18 @@ class _Node:
     fixings: dict = field(compare=False)
 
 
-def _relaxation_rows(model, split):
+def _relaxation_rows(model, band):
     """Per-node rows: band score rows, cutoff rows and the rest of the
     model, with the sure-in and sure-out binaries fixed instead."""
     d, n = model.dataset.d, len(model.dataset)
-    _, sure_in, sure_out, lam_hi, lam_lo = split
-    base_fix = {d + 1 + int(i): 1.0 for i in np.nonzero(sure_in)[0]}
-    base_fix.update({d + 1 + int(i): 0.0 for i in np.nonzero(sure_out)[0]})
-    rows = []
-    for i in np.nonzero(~(sure_in | sure_out))[0]:
-        rows.append(model.rows[2 * int(i)])
-        rows.append(model.rows[2 * int(i) + 1])
-    if lam_hi is not None:
-        a = np.zeros(model.nvars)
-        a[d] = 1.0
-        rows.append((a, "<=", lam_hi))
-    if lam_lo is not None:
-        a = np.zeros(model.nvars)
-        a[d] = 1.0
-        rows.append((a, ">=", lam_lo))
+    base_fix = {d + 1 + int(i): 1.0 for i in np.nonzero(band.sure_in)[0]}
+    base_fix.update({d + 1 + int(i): 0.0 for i in np.nonzero(band.sure_out)[0]})
+    rows = [model.rows[2 * int(i) + j] for i in band.rows for j in (0, 1)]
+    for bound, rel in ((band.lambda_hi, "<="), (band.lambda_lo, ">=")):
+        if bound is not None:
+            a = np.zeros(model.nvars)
+            a[d] = 1.0
+            rows.append((a, rel, bound))
     rows.extend(model.rows[2 * n:])
     return rows, base_fix
 
@@ -191,9 +184,8 @@ def solve_milp(model, node_budget=DEFAULT_NODE_BUDGET):
     explores nodes in (bound, depth, serial) order and accepts an integral
     subset only through its cell LP, whose point becomes the incumbent.
     """
-    pts = model.dataset.points
-    split = band_split(pts, model.k, model.region)
-    base_rows, base_fix = _relaxation_rows(model, split)
+    band = CutoffBand(model.dataset, model.k, model.region)
+    base_rows, base_fix = _relaxation_rows(model, band)
     cuts = []
     sense = 1.0 if model.direction == "min" else -1.0
 
@@ -250,7 +242,8 @@ def solve_milp(model, node_budget=DEFAULT_NODE_BUDGET):
         frac = np.abs(delta - np.round(delta))
         if frac.max() <= INT_TOL:
             ones = np.round(delta) > 0.5
-            cell = TopkCell(pts, ones, split, model.region).closest()
+            seats = band.seats(model.dataset.id_array[ones])
+            cell = None if seats is None else TopkCell(band, seats).closest()
             if cell is not None:
                 if model.objective == W_DIFFERENCE:
                     value = cell[1]

@@ -26,10 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import WeightVector
-from .geometry import TopkCell, band_split
+from .geometry import CutoffBand, TopkCell
 
 
 @dataclass(frozen=True)
@@ -52,13 +50,14 @@ def stable_weight(dataset, k, subset, region):
     """Largest inscribed ball of the subset's cell within the region.
 
     The Chebyshev centre of geometry.TopkCell over the cutoff band.
-    Returns None when the cell misses the region.
+    Returns None when the cell misses the region; raises ValueError when
+    subset is not k distinct ids of the dataset.
     """
     if len(subset) != k:
         raise ValueError(f"subset size {len(subset)} does not match k={k}")
-    pts = dataset.points
-    member = np.isin(dataset.id_array, subset)
-    got = TopkCell(pts, member, band_split(pts, k, region), region).center()
+    band = CutoffBand(dataset, k, region)
+    seats = band.seats(subset)
+    got = None if seats is None else TopkCell(band, seats).center()
     if got is None:
         return None
     weight, margin, box_radius, degenerate = got

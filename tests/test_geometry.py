@@ -8,9 +8,18 @@ from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
 import fairtopk.geometry
-from fairtopk.core import LpStallError, WeightRegion, WeightVector
+from fairtopk.core import (
+    W_DIFFERENCE,
+    Candidate,
+    Dataset,
+    LpStallError,
+    WeightRegion,
+    WeightVector,
+)
 from fairtopk.geometry import (
+    CutoffBand,
     LpProblem,
+    TopkCell,
     dual_line,
     hyperplane_side,
     lift_weight,
@@ -310,3 +319,79 @@ class TestHyperplaneSide:
         assert hyperplane_side((0.0, 1.0), -1.0, pts) == -1
         assert hyperplane_side((0.0, 1.0), 1.0, pts) == 1
         assert hyperplane_side((1.0, 0.0), -0.5, pts) == 0
+
+    def test_batch_matches_one_plane_at_a_time(self):
+        rng = np.random.default_rng(5)
+        pts = rng.random((6, 2))
+        coeffs = rng.normal(size=(5, 4, 2))
+        offsets = rng.normal(size=(5, 4)) * 0.3
+        offsets[0] = -(coeffs[0] @ pts[0])  # planes through a point
+        got = hyperplane_side(coeffs, offsets, pts)
+        assert got.shape == (5, 4)
+        for i in range(5):
+            for j in range(4):
+                vals = pts @ coeffs[i, j] + offsets[i, j]
+                want = 1 if np.all(vals > 1e-9) else (-1 if np.all(vals < -1e-9) else 0)
+                assert got[i, j] == want, (i, j)
+        assert set(got[1:].ravel()) == {-1, 0, 1}
+        assert not np.any(got[0])
+        assert not np.any(hyperplane_side(coeffs, offsets, np.zeros((0, 2))))
+
+
+# witness LP rows over (y, lambda, xi) that every case below ends with: the
+# simplex walls of the projected weight y and the margin cap xi <= 1; and
+# the Chebyshev rows over (y, radius) that every centre LP ends with
+WITNESS_TAIL = [((1.0, 0.0, 0.0), ">=", 0.0), ((-1.0, 0.0, 0.0), ">=", -1.0),
+                ((0.0, 0.0, 1.0), "<=", 1.0)]
+CENTER_TAIL = [((1.0, -1.0), ">=", 0.0), ((-1.0, -1.0), ">=", -1.0), ((0.0, 1.0), ">=", 0.0)]
+
+
+class TestCutoffBandClasses:
+    """Duplicate-point classes of the band, pinned to the sides and LP rows
+    that grouping by pairwise point equality gives."""
+
+    CASES = {
+        # -0.0 equals 0.0, so rows 0 and 1 form one class, split by the subset
+        "negative_zero": (
+            [(0.0, 0.5), (-0.0, 0.5), (0.5, 0.25), (0.25, 0.0)], (0, 2), [0, 1, -1],
+            [((-0.5, -1.0, 0.0), "=", -0.5), ((0.25, -1.0, -1.0), ">=", -0.25),
+             ((0.25, -1.0, 1.0), "<=", 0.0)],
+            [((-1.0, -1.0), ">=", -0.6666666666666666), ((1.0, -1.0), ">=", 0.3333333333333333)],
+        ),
+        # n == k: every row is sure-in and the band is empty
+        "n_equals_k": ([(0.2, 0.8), (0.6, 0.4)], (0, 1), [],
+                       [((0.0, 1.0, 1.0), "<=", 0.2)], []),
+        "every_row_sure": (
+            [(0.9, 0.9), (0.8, 0.8), (0.1, 0.1), (0.2, 0.2)], (0, 1), [],
+            [((0.0, 1.0, 1.0), "<=", 0.8), ((0.0, 1.0, -1.0), ">=", 0.2)], [],
+        ),
+        # rows 1-3 are the whole band and one class, with one seat taken
+        "one_class_band": (
+            [(0.9, 0.9), (0.6, 0.4), (0.6, 0.4), (0.6, 0.4), (0.1, 0.1)], (0, 2), [0],
+            [((0.19999999999999996, -1.0, 0.0), "=", -0.4), ((0.0, 1.0, 1.0), "<=", 0.9),
+             ((0.0, 1.0, -1.0), ">=", 0.1)],
+            [],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_sides_and_rows(self, case, monkeypatch):
+        points, subset, side, witness_rows, center_rows = self.CASES[case]
+        seen = []
+        real = fairtopk.geometry.simplex_lp
+
+        def recording(problem):
+            seen.append([(tuple(a), rel, b) for a, rel, b in problem.rows])
+            return real(problem)
+
+        monkeypatch.setattr(fairtopk.geometry, "simplex_lp", recording)
+        data = Dataset([Candidate(i, p, set()) for i, p in enumerate(points)])
+        region = WeightRegion(2, [], (0.5, 0.5), W_DIFFERENCE)  # the whole simplex
+        band = CutoffBand(data, 2, region)
+        seats = band.seats(subset)
+        cell = TopkCell(band, seats)
+        assert cell.side.tolist() == side
+        assert band.seats(band.subset(seats)) == seats
+        assert cell.witness() is not None
+        assert cell.center() is not None
+        assert seen == [witness_rows + WITNESS_TAIL, center_rows + CENTER_TAIL]

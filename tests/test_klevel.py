@@ -15,7 +15,7 @@ from fairtopk.core import (
     WeightRegion,
     WeightVector,
 )
-from fairtopk.geometry import TopkCell, band_split, lift_weight
+from fairtopk.geometry import CutoffBand, TopkCell, lift_weight
 from fairtopk.klevel import TraversalLedger, initial_cell, traverse
 from fairtopk.milp import build_milp, solve_milp
 from fairtopk.pipeline import RunConfig, select
@@ -38,8 +38,8 @@ def seat_off_reference(data, k, wo):
 
 def cell_of(data, k, subset, region):
     """The top-k cell of a subset given by its ids."""
-    member = np.isin(data.id_array, subset)
-    return TopkCell(data.points, member, band_split(data.points, k, region), region)
+    band = CutoffBand(data, k, region)
+    return TopkCell(band, band.seats(subset))
 
 
 class TestCells:
@@ -48,7 +48,8 @@ class TestCells:
         node = initial_cell(five_dataset, 2, region)
         w = lift_weight(np.asarray(node.witness))
         decomp = decompose_topk(five_dataset, 2, w)
-        assert set(node.subset) == set(decomp.order[:2])
+        band = CutoffBand(five_dataset, 2, region)
+        assert set(band.subset(node.seats)) == set(decomp.order[:2])
 
     def test_swap_witness_lands_in_the_new_cell(self, five_dataset):
         region = full_region(WeightVector((0.5, 0.5)))
@@ -64,12 +65,13 @@ class TestCells:
     def test_dominant_candidate_cannot_be_swapped_out(self, five_dataset):
         # (0.9, 0.9) beats every other point at every weight
         region = full_region(WeightVector((0.5, 0.5)))
-        assert cell_of(five_dataset, 2, (0, 1), region).witness() is None
+        assert CutoffBand(five_dataset, 2, region).seats((0, 1)) is None
 
     def test_swap_respects_region_bounds(self, five_dataset):
         region = WeightRegion.box(WeightVector((0.5, 0.5)), epsilon=0.03)
-        # cell of {2, 4} needs x > 5/9, outside [0.47, 0.53]
-        assert cell_of(five_dataset, 2, (2, 4), region).witness() is None
+        # cell of {2, 4} needs x > 5/9, outside [0.47, 0.53]: there 2 is
+        # below the top-2 throughout, so the band refuses the subset
+        assert CutoffBand(five_dataset, 2, region).seats((2, 4)) is None
 
     def test_closest_clamps_to_cell_border(self, five_dataset):
         region = full_region(WeightVector((0.5, 0.5)))
@@ -279,6 +281,34 @@ class TestTraverse:
         spec = FairnessSpec(lower=[2], upper=[2])
         region = WeightRegion.box(WeightVector((0.05, 0.95)), 0.02)
         assert traverse(five_dataset, 2, spec, region) is None
+
+    @pytest.mark.parametrize("objective", [W_DIFFERENCE, UTILITY_LOSS])
+    def test_relabelled_ids_change_nothing(self, objective):
+        # metamorphic: ids out of row order only rename the candidates
+        rng = np.random.default_rng(103)
+        solved = 0
+        for trial in range(8):
+            data, _ = tied_instance(rng, n=16, d=3, n_protected=1, k=4, dup_rate=0.3)
+            ids = rng.permutation(len(data)) * 5 + 3
+            relabelled = Dataset(
+                [Candidate(int(i), c.point, c.groups) for i, c in zip(ids, data.candidates)]
+            )
+            wo = WeightVector(tuple(rng.dirichlet(np.ones(3))))
+            lo, hi = seat_off_reference(data, 4, wo)
+            spec = FairnessSpec(lower=[lo], upper=[hi])
+            region = WeightRegion.box(wo, 0.3, objective=objective)
+            ledgers = TraversalLedger(), TraversalLedger()
+            a = traverse(data, 4, spec, region, ledger=ledgers[0])
+            b = traverse(relabelled, 4, spec, region, ledger=ledgers[1])
+            for field in ("cells_visited", "swap_tests", "fair_cells"):
+                assert getattr(ledgers[0], field) == getattr(ledgers[1], field), (trial, field)
+            if a is None or b is None:
+                assert a is None and b is None, f"trial {trial}"
+                continue
+            solved += 1
+            assert_allclose(a.value, b.value, atol=1e-12, rtol=0, err_msg=f"trial {trial}")
+            assert_allclose(a.weight.as_array(), b.weight.as_array(), atol=1e-12, rtol=0)
+        assert solved >= 5
 
 
 class TestDuplicateTieFaces:

@@ -8,6 +8,7 @@ from scipy.optimize import linprog
 import fairtopk.geometry
 from fairtopk.core import Candidate, Dataset, WeightRegion, WeightVector
 from fairtopk.geometry import (
+    CutoffBand,
     TopkCell,
     band_split,
     lift_weight,
@@ -185,6 +186,14 @@ class TestWorkedExample:
         with pytest.raises(ValueError):
             stable_weight(five_dataset, 2, (0, 2, 4), region)
 
+    @pytest.mark.parametrize("subset", [(4, 4), (4, 99)], ids=["repeated", "unknown"])
+    def test_malformed_subset_rejected(self, five_dataset, subset):
+        # k ids, but as a mask they are one row: (4,) alone has a cell with
+        # a positive margin, so answering would pass off a 1-subset as a 2-subset
+        region = region_box((0.5, 0.5), 1.0)
+        with pytest.raises(ValueError):
+            stable_weight(five_dataset, 2, subset, region)
+
 
 class TestAgreementAcrossImplementations:
     def test_random_2d_instances(self):
@@ -212,7 +221,8 @@ class TestAgreementAcrossImplementations:
     def test_band_rows_give_the_full_chebyshev_radius(self, d):
         # the cutoff band drops every pair with a sure candidate; the radius
         # over all k(n-k) pairs must not change, nor the closest point over
-        # all n score rows, and dropping a sure-in candidate empties the cell
+        # all n score rows, and a subset that drops a sure-in candidate gets
+        # no seats: it is top-k nowhere in the region
         rng = np.random.default_rng(337 + d)
         compared = reduced = dropped = 0
         for trial in range(30):
@@ -222,10 +232,10 @@ class TestAgreementAcrossImplementations:
             eps = float(rng.uniform(0.05, 0.4))
             region = region_box(wo, eps)
             subset = tuple(decompose_topk(data, k, point_in_box(rng, wo, eps)).order[:k])
-            split = band_split(data.points, k, region)
-            _, sure_in, sure_out, _, _ = split
+            band = CutoffBand(data, k, region)
+            sure_in, sure_out = band.sure_in, band.sure_out
             member = np.isin(data.id_array, subset)
-            closest = TopkCell(data.points, member, split, region).closest()
+            closest = TopkCell(band, band.seats(subset)).closest()
             l1 = l1_reference(data, subset, region)
             assert (closest is None) == (l1 is None), f"trial {trial}"
             if closest is not None:
@@ -234,10 +244,7 @@ class TestAgreementAcrossImplementations:
             if sure_in.any():
                 dropped += 1
                 short = member & ~(sure_in & (np.cumsum(sure_in) == 1))
-                cell = TopkCell(data.points, short, split, region)
-                assert cell.witness() is None, f"trial {trial}"
-                assert cell.closest() is None, f"trial {trial}"
-                assert cell.center() is None, f"trial {trial}"
+                assert band.seats(data.id_array[short]) is None, f"trial {trial}"
             res = stable_weight(data, k, subset, region)
             ref = chebyshev_reference(data, subset, region)
             assert (res is None) == (ref is None), f"trial {trial}"

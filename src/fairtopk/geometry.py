@@ -352,10 +352,13 @@ def _simplex_iterate(A, b, basis, cost, budget, phase):
     degenerate_run = 0
     bland = False
     last_obj = math.inf
+    skip = []  # phase-1 columns passed over since the last pivot
     for it in range(max(budget, 1)):
         cb = cost[basis]
         reduced = cost - cb @ A
         reduced[basis] = 0.0
+        if skip:
+            reduced[skip] = 0.0
         if bland:
             neg = np.nonzero(reduced < -1e-10)[0]
             if len(neg) == 0:
@@ -369,8 +372,10 @@ def _simplex_iterate(A, b, basis, cost, budget, phase):
         if not np.any(pos):
             if phase == 2:
                 raise _Unbounded
-            # phase-1 cost is bounded below by zero; treat as converged guard
-            return (A, b), it
+            # the phase-1 cost is bounded below, so this descent is drift
+            skip.append(col)
+            continue
+        skip = []
         ratios = np.full(m, np.inf)
         ratios[pos] = b[pos] / A[pos, col]
         rmin = float(ratios.min())

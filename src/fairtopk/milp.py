@@ -1,18 +1,22 @@
 """Mixed-integer formulation of fair weight synthesis, with its own solver.
 
-One binary per candidate marks top-k membership; a score threshold variable
-ties the binaries to the linear scores through unit big-M rows, which is
-valid because attributes are required to lie in [0,1] so every score and
-the threshold live in [0,1] too.  Group count rows encode fairness, the
-region rows restrict the weights, and the objective is either the L1
-distance to the reference weights or the selected reference utility.
+The model is written over the cutoff band (geometry.CutoffBand): sure-in
+candidates are constants that take their seats and group counts off the
+bounds, sure-out ones drop out, and one binary per band row marks top-k
+membership.  A score threshold variable ties the binaries to the linear
+scores through unit big-M rows, which is valid because attributes are
+required to lie in [0,1] so every score and the threshold live in [0,1]
+too; the band's cutoff rows bound the threshold.  Group count rows encode
+fairness, the region rows restrict the weights, and the objective is
+either the L1 distance to the reference weights or the selected band
+rows' reference utility.
 
 The solver is a best-first branch and bound over the dense-simplex
-relaxation, reduced to the cutoff band.  Integral relaxation points are
-checked and placed by the top-k cell that klevel walks
-(geometry.TopkCell): the incumbent weight is the cell's closest point to
-the reference, and a subset whose cell misses the region gets a no-good
-cut.  The answer's witness and value come from verify.
+relaxation.  Integral relaxation points are checked and placed by the
+top-k cell that klevel walks (geometry.TopkCell): the incumbent weight is
+the cell's closest point to the reference, and a subset whose cell misses
+the region gets a no-good cut.  The answer's witness and value come from
+verify.
 """
 
 from __future__ import annotations
@@ -34,14 +38,16 @@ DEFAULT_NODE_BUDGET = 200_000
 
 @dataclass
 class MilpModel:
-    """Full model: variables w, threshold, one binary per candidate, and
-    L1 envelope variables when the objective is the weight difference."""
+    """Model over the cutoff band: variables w, threshold, one binary per
+    band row and L1 envelope variables when the objective is the weight
+    difference.  band is the CutoffBand the model was written over."""
 
     dataset: object
     k: int
     spec: object
     region: object
     objective: str
+    band: CutoffBand
     c: np.ndarray
     direction: str
     rows: list            # (coeffs, relation, rhs) in build order
@@ -55,40 +61,51 @@ class MilpModel:
 
 
 def build_milp(dataset, k, spec, region):
-    """Assemble the model rows in a fixed, documented order."""
+    """Assemble the model over the cutoff band, rows in a fixed order: two
+    score rows per band row, the cutoff rows, cardinality, two rows per
+    group, the simplex row, the region rows and, for wdiff, the L1
+    envelope rows.  The cardinality and group bounds have the sure-in
+    rows' seats and counts taken off."""
     spec.validate(k)
     if region.d != dataset.d:
         raise ValueError("region dimension does not match the dataset")
     pts = dataset.points
     if pts.min() < -TIE_EPS or pts.max() > 1.0 + TIE_EPS:
         raise ValueError("attributes must lie in [0,1] for the milp engine")
-    d, n = dataset.d, len(dataset)
+    band = CutoffBand(dataset, k, region)
+    d, m = dataset.d, len(band.rows)
     wo = region.reference
     wdiff = region.objective == W_DIFFERENCE
-    nv = d + 1 + n + (d if wdiff else 0)
+    nv = d + 1 + m + (d if wdiff else 0)
     names = [f"w{i}" for i in range(d)] + ["lam"]
-    names += [f"d{cid}" for cid in dataset.ids]
+    names += [f"d{cid}" for cid in dataset.id_array[band.rows]]
     if wdiff:
         names += [f"p{i}" for i in range(d)]
 
     rows = []
     # score rows: member -> score >= lam, non-member -> score <= lam
-    for i in range(n):
+    for pos, i in enumerate(band.rows):
         a = np.zeros(nv)
         a[:d] = pts[i]
         a[d] = -1.0
-        a[d + 1 + i] = -1.0
+        a[d + 1 + pos] = -1.0
         rows.append((a, "<=", 0.0))
         rows.append((a.copy(), ">=", -1.0))
+    for bound, rel in ((band.lambda_hi, "<="), (band.lambda_lo, ">=")):
+        if bound is not None:
+            a = np.zeros(nv)
+            a[d] = 1.0
+            rows.append((a, rel, bound))
     a = np.zeros(nv)
-    a[d + 1: d + 1 + n] = 1.0
-    rows.append((a, "=", float(k)))
+    a[d + 1: d + 1 + m] = 1.0
+    rows.append((a, "=", float(k - np.count_nonzero(band.sure_in))))
     for j in range(spec.n_protected):
         mask = dataset.group_member_mask(j)
+        taken = np.count_nonzero(mask & band.sure_in)
         a = np.zeros(nv)
-        a[d + 1: d + 1 + n][mask] = 1.0
-        rows.append((a.copy(), ">=", float(spec.lower[j])))
-        rows.append((a, "<=", float(spec.upper[j])))
+        a[d + 1: d + 1 + m][mask[band.rows]] = 1.0
+        rows.append((a.copy(), ">=", float(spec.lower[j] - taken)))
+        rows.append((a, "<=", float(spec.upper[j] - taken)))
     a = np.zeros(nv)
     a[:d] = 1.0
     rows.append((a, "=", 1.0))
@@ -97,44 +114,41 @@ def build_milp(dataset, k, spec, region):
         a[:d] = coeffs
         rows.append((a, ">=", -off))
     if wdiff:
-        rows.extend(l1_envelope_rows(wo, nv, d + 1 + n))
+        rows.extend(l1_envelope_rows(wo, nv, d + 1 + m))
 
-    bounds = [(0.0, 1.0)] * d + [(0.0, 1.0)]
-    bounds += [(0.0, 1.0)] * n
-    if wdiff:
-        bounds += [(0.0, None)] * d
+    bounds = [(0.0, 1.0)] * (d + 1 + m) + [(0.0, None)] * (d if wdiff else 0)
 
     c = np.zeros(nv)
     if wdiff:
-        c[d + 1 + n:] = 1.0
+        c[d + 1 + m:] = 1.0
         direction = "min"
     else:
-        c[d + 1: d + 1 + n] = pts @ wo.as_array()
+        c[d + 1: d + 1 + m] = pts[band.rows] @ wo.as_array()
         direction = "max"
     return MilpModel(
         dataset=dataset, k=k, spec=spec, region=region,
-        objective=region.objective, c=c, direction=direction, rows=rows,
-        bounds=bounds, binaries=list(range(d + 1, d + 1 + n)), names=names,
+        objective=region.objective, band=band, c=c, direction=direction,
+        rows=rows, bounds=bounds, binaries=list(range(d + 1, d + 1 + m)), names=names,
     )
 
 
 def export_lp(model):
-    """LP-format text: objective, constraints in build order, bounds,
-    binary section, End."""
+    """LP-format text of the band model: objective, constraints in build
+    order, bounds, binary section (left out when the band is empty), End."""
     out = ["\\ fair top-k selection model"]
     out.append("Minimize" if model.direction == "min" else "Maximize")
     out.append(" obj: " + _lincomb(model.c, model.names))
     out.append("Subject To")
-    rel = {"<=": "<=", ">=": ">=", "=": "="}
     for i, (a, r, b) in enumerate(model.rows):
-        out.append(f" r{i}: " + _lincomb(a, model.names) + f" {rel[r]} {_num(b)}")
+        out.append(f" r{i}: " + _lincomb(a, model.names) + f" {r} {_num(b)}")
     out.append("Bounds")
     for i, (lo, hi) in enumerate(model.bounds):
         lo_s = "-inf" if lo is None else _num(lo)
         hi_s = "+inf" if hi is None else _num(hi)
         out.append(f" {lo_s} <= {model.names[i]} <= {hi_s}")
-    out.append("Binaries")
-    out.append(" " + " ".join(model.names[i] for i in model.binaries))
+    if model.binaries:
+        out.append("Binaries")
+        out.append(" " + " ".join(model.names[i] for i in model.binaries))
     out.append("End")
     return "\n".join(out) + "\n"
 
@@ -161,22 +175,6 @@ class _Node:
     fixings: dict = field(compare=False)
 
 
-def _relaxation_rows(model, band):
-    """Per-node rows: band score rows, cutoff rows and the rest of the
-    model, with the sure-in and sure-out binaries fixed instead."""
-    d, n = model.dataset.d, len(model.dataset)
-    base_fix = {d + 1 + int(i): 1.0 for i in np.nonzero(band.sure_in)[0]}
-    base_fix.update({d + 1 + int(i): 0.0 for i in np.nonzero(band.sure_out)[0]})
-    rows = [model.rows[2 * int(i) + j] for i in band.rows for j in (0, 1)]
-    for bound, rel in ((band.lambda_hi, "<="), (band.lambda_lo, ">=")):
-        if bound is not None:
-            a = np.zeros(model.nvars)
-            a[d] = 1.0
-            rows.append((a, rel, bound))
-    rows.extend(model.rows[2 * n:])
-    return rows, base_fix
-
-
 def solve_milp(model, node_budget=DEFAULT_NODE_BUDGET):
     """Optimal fair weights by best-first branch and bound, or None.
 
@@ -184,13 +182,12 @@ def solve_milp(model, node_budget=DEFAULT_NODE_BUDGET):
     explores nodes in (bound, depth, serial) order and accepts an integral
     subset only through its cell LP, whose point becomes the incumbent.
     """
-    band = CutoffBand(model.dataset, model.k, model.region)
-    base_rows, base_fix = _relaxation_rows(model, band)
+    band = model.band
     cuts = []
     sense = 1.0 if model.direction == "min" else -1.0
 
     def relax(fixings):
-        rows = list(base_rows) + list(cuts)
+        rows = list(model.rows) + list(cuts)
         for idx, val in fixings.items():
             a = np.zeros(model.nvars)
             a[idx] = 1.0
@@ -215,10 +212,10 @@ def solve_milp(model, node_budget=DEFAULT_NODE_BUDGET):
 
     serial = 0
     heap = []
-    root = relax(base_fix)
+    root = relax({})
     if root.status != "optimal":
         return None
-    heapq.heappush(heap, _Node(sense * root.value, 0, serial, dict(base_fix)))
+    heapq.heappush(heap, _Node(sense * root.value, 0, serial, {}))
     incumbent = None
     best = math.inf
     nodes = 0
@@ -240,10 +237,9 @@ def solve_milp(model, node_budget=DEFAULT_NODE_BUDGET):
             continue
         delta = out.x[model.binaries]
         frac = np.abs(delta - np.round(delta))
-        if frac.max() <= INT_TOL:
+        if np.all(frac <= INT_TOL):  # also when the band is empty
             ones = np.round(delta) > 0.5
-            seats = band.seats(model.dataset.id_array[ones])
-            cell = None if seats is None else TopkCell(band, seats).closest()
+            cell = TopkCell(band, np.bincount(band.cls[ones], minlength=len(band.size))).closest()
             if cell is not None:
                 if model.objective == W_DIFFERENCE:
                     value = cell[1]
@@ -264,9 +260,8 @@ def solve_milp(model, node_budget=DEFAULT_NODE_BUDGET):
                     heap, _Node(sense * out.value, node.depth, serial, node.fixings)
                 )
             continue
-        order = np.lexsort((model.dataset.id_array, -frac))
-        pick = int(order[0])
-        idx = model.binaries[pick]
+        order = np.lexsort((model.dataset.id_array[band.rows], -frac))
+        idx = model.binaries[int(order[0])]
         for val in (1.0, 0.0):
             serial += 1
             child = dict(node.fixings)
@@ -277,6 +272,5 @@ def solve_milp(model, node_budget=DEFAULT_NODE_BUDGET):
 
     result = finish()
     if result is not None:
-        result.extras["nodes"] = nodes
-        result.extras["cuts"] = n_cuts
+        result.extras.update(nodes=nodes, cuts=n_cuts)
     return result

@@ -180,6 +180,21 @@ class TestLpKernels:
         assert scipy_reference(prob)[0] == "infeasible"
         assert simplex_lp(prob).status == "infeasible"
 
+    def test_phase_one_passes_over_a_drifted_descent_column(self):
+        # root relaxation of solve_milp's band model (a d = 3, n = 20, k = 6
+        # utility query, 6 band rows): 46 rows, 10 variables.  Under Bland's
+        # rule phase 1 met a column whose negative reduced cost came from
+        # entries below the pivot tolerance, stopped there at an artificial
+        # total of 33.3 and called a feasible LP infeasible
+        with np.load(DATA / "drift_column_phase_one_lp.npz") as f:
+            rows = [(a, str(rel), b) for a, rel, b in zip(f["a"], f["relation"], f["b"])]
+            prob = LpProblem(f["c"], rows, str(f["direction"]))
+        status, value = scipy_reference(prob)
+        assert status == "optimal"
+        out = simplex_lp(prob)
+        assert out.status == "optimal"
+        assert_allclose(out.value, value, atol=1e-9)
+
     @pytest.mark.parametrize("final", [[0, 1], [2, 2]], ids=["zero-total", "positive-total"])
     def test_singular_phase_one_basis(self, final, monkeypatch):
         # columns: x+ 0, x- 1 (parallel), artificials 2 and 3.  A singular

@@ -18,8 +18,11 @@ from fairtopk.core import (
     group_counts,
     is_fair_counts,
 )
+from fairtopk.generators import random_instance, random_spec
 from fairtopk.geometry import LpProblem, simplex_lp
+from fairtopk.klevel import traverse
 from fairtopk.milp import build_milp, export_lp, solve_milp
+from fairtopk.pipeline import kskyband
 from fairtopk.verify import verify_fair
 from conftest import tied_instance
 
@@ -94,26 +97,37 @@ def enumerate_best(data, k, spec, region):
 
 
 class TestModelAssembly:
+    # in the 0.2 box candidate 4, at (0.9, 0.9), tops every ranking: it is
+    # sure-in, a constant that takes one of the k seats and gets no binary
+
     def test_row_layout(self, five_dataset, five_spec):
         region = WeightRegion.box(WeightVector((0.5, 0.5)), 0.2)
         model = build_milp(five_dataset, 2, five_spec, region)
-        n, d = 5, 2
-        # 2n score rows, cardinality, 2 per group, simplex, 4 box rows, 2d envelopes
-        assert len(model.rows) == 2 * n + 1 + 2 + 1 + 4 + 2 * d
+        band, m, d = model.band, 4, 2
+        assert band.rows.tolist() == [0, 1, 2, 3]
+        assert band.sure_in.tolist() == [False, False, False, False, True]
+        # 2m score rows, lambda_hi, cardinality, 2 per group, simplex,
+        # 4 box rows, 2d envelopes
+        assert len(model.rows) == 2 * m + 1 + 1 + 2 + 1 + 4 + 2 * d
         assert model.names[:3] == ["w0", "w1", "lam"]
-        assert model.names[3:8] == ["d0", "d1", "d2", "d3", "d4"]
-        assert model.binaries == [3, 4, 5, 6, 7]
+        assert model.names[3:7] == ["d0", "d1", "d2", "d3"]
+        assert model.binaries == [3, 4, 5, 6]
         assert model.direction == "min"
-        # cardinality row demands exactly k picks
-        a, rel, b = model.rows[2 * n]
-        assert rel == "=" and b == 2.0
-        assert_allclose(a[3:8], 1.0)
+        # the cutoff stays at or below candidate 4's lowest score
+        a, rel, b = model.rows[2 * m]
+        assert rel == "<=" and b == band.lambda_hi
+        assert_allclose(a, np.eye(model.nvars)[2])
+        # cardinality row demands the k - 1 picks candidate 4 leaves
+        a, rel, b = model.rows[2 * m + 1]
+        assert rel == "=" and b == 1.0
+        assert_allclose(a[3:7], 1.0)
 
     def test_utility_objective_maximizes_reference_scores(self, five_dataset, five_spec):
         region = WeightRegion.box(WeightVector((0.5, 0.5)), 0.2, objective=UTILITY_LOSS)
         model = build_milp(five_dataset, 2, five_spec, region)
         assert model.direction == "max"
-        assert_allclose(model.c[3:8], five_dataset.points @ np.array([0.5, 0.5]))
+        assert model.nvars == 7
+        assert_allclose(model.c[3:7], five_dataset.points[:4] @ np.array([0.5, 0.5]))
 
     def test_attribute_range_guard(self):
         data = Dataset([Candidate(0, (1.4, 0.2), set()), Candidate(1, (0.3, 0.4), set())])
@@ -132,10 +146,11 @@ class TestModelAssembly:
         assert "Binaries" in lines
         assert lines[-1] == "End"
         bin_line = lines[lines.index("Binaries") + 1]
-        assert bin_line.split() == ["d0", "d1", "d2", "d3", "d4"]
+        assert bin_line.split() == ["d0", "d1", "d2", "d3"]
+        assert "d4" not in text
         # every row label appears exactly once and in order
         row_lines = [l for l in lines if l.startswith(" r")]
-        assert len(row_lines) == len(model.rows)
+        assert len(row_lines) == len(model.rows) == 21
         assert row_lines[0].startswith(" r0:")
 
 
@@ -277,3 +292,112 @@ class TestSolve:
             if res is None:
                 continue
             assert verify_fair(data, k, spec, res.weight)
+
+
+def highs_optimum(model):
+    """The model's optimum by scipy's HiGHS MILP with presolve off, or None."""
+    opt = pytest.importorskip("scipy.optimize")
+    a = np.array([row for row, _, _ in model.rows])
+    rhs = np.array([b for _, _, b in model.rows])
+    rel = np.array([r for _, r, _ in model.rows])
+    integrality = np.zeros(model.nvars)
+    integrality[model.binaries] = 1
+    sense = 1.0 if model.direction == "min" else -1.0
+    out = opt.milp(
+        sense * model.c,
+        constraints=opt.LinearConstraint(
+            a, np.where(rel == "<=", -np.inf, rhs), np.where(rel == ">=", np.inf, rhs)
+        ),
+        bounds=opt.Bounds(
+            [lo for lo, _ in model.bounds],
+            [np.inf if hi is None else hi for _, hi in model.bounds],
+        ),
+        integrality=integrality,
+        options={"presolve": False},
+    )
+    return None if out.x is None else sense * out.fun
+
+
+class TestBandModel:
+    """The model covers the cutoff band only; sure-in rows are constants."""
+
+    @pytest.mark.parametrize("objective", [W_DIFFERENCE, UTILITY_LOSS])
+    @pytest.mark.parametrize("lower, upper", [((0,), (5,)), ((5,), (5,))])
+    def test_empty_band(self, objective, lower, upper):
+        # n == k: every row is sure-in, so the model has no binary at all
+        data = random_instance(np.random.default_rng(5), n=5, d=3, n_protected=1)
+        spec = FairnessSpec(lower, upper)
+        region = WeightRegion.box(WeightVector((0.3, 0.3, 0.4)), 0.1, objective=objective)
+        model = build_milp(data, 5, spec, region)
+        assert model.binaries == []
+        assert export_lp(model).splitlines()[-1] == "End"
+        res = solve_milp(model)
+        kl = traverse(data, 5, spec, region)
+        want = enumerate_best(data, 5, spec, region)
+        assert (res is None) == (kl is None) == (want is None)
+        assert (res is None) == (lower == (5,))  # three of the five are protected
+        if res is not None:
+            assert res.subset == kl.subset == (0, 1, 2, 3, 4)
+            assert_allclose(res.value, kl.value, atol=1e-9)
+            got = res.value if objective == W_DIFFERENCE else -res.utility
+            assert_allclose(got, want, atol=1e-9)
+
+    @pytest.mark.parametrize("objective", [W_DIFFERENCE, UTILITY_LOSS])
+    @pytest.mark.parametrize(
+        "lower, upper, solvable",
+        [
+            ((0, 0), (1, 4), False),  # sure-in 0 and 1 alone exceed group 0's upper bound
+            ((0, 3), (4, 4), False),  # two seats left, group 1 needs three
+            ((4, 0), (4, 4), False),  # group 0 needs two band rows, only 2 is in it
+            ((0, 0), (2, 4), True),   # group 0 is full, so band row 2, top at wo, stays out
+            ((3, 0), (4, 4), True),   # sure-in 0 and 1 count towards the three
+        ],
+    )
+    def test_sure_in_counts_fold_into_group_bounds(self, objective, lower, upper, solvable):
+        rows = [
+            (0.9, 0.9, 0.9, {0}), (0.85, 0.8, 0.9, {0}),  # sure-in
+            (0.62, 0.42, 0.5, {0}), (0.4, 0.6, 0.5, {1}),
+            (0.5, 0.5, 0.52, {1}), (0.45, 0.55, 0.5, set()),
+            (0.1, 0.05, 0.1, {1}),  # sure-out
+        ]
+        data = Dataset([Candidate(i, r[:3], r[3]) for i, r in enumerate(rows)])
+        spec = FairnessSpec(lower, upper)
+        region = WeightRegion.box(WeightVector((0.3, 0.3, 0.4)), 0.1, objective=objective)
+        model = build_milp(data, 4, spec, region)
+        assert model.band.rows.tolist() == [2, 3, 4, 5]
+        assert np.nonzero(model.band.sure_in)[0].tolist() == [0, 1]
+        res = solve_milp(model)
+        kl = traverse(data, 4, spec, region)
+        assert (res is not None) == (kl is not None) == solvable
+        if solvable:
+            assert_allclose(res.value, kl.value, atol=1e-9)
+            assert verify_fair(data, 4, spec, res.weight)
+
+    def test_highs_agrees_on_the_model(self):
+        rng = np.random.default_rng(41)
+        answered = 0
+        for trial in range(30):
+            k, n_protected = int(rng.integers(3, 8)), int(rng.integers(1, 3))
+            data = random_instance(
+                rng, n=int(rng.integers(15, 36)), d=3, n_protected=n_protected, dup_rate=0.2
+            )
+            data = kskyband(data, k)
+            spec = random_spec(rng, data, k, n_protected)
+            wo = WeightVector(tuple(rng.dirichlet((4.0, 4.0, 4.0))))
+            eps = float(rng.uniform(0.05, 0.12))
+            for objective in (W_DIFFERENCE, UTILITY_LOSS):
+                region = WeightRegion.box(wo, eps, objective=objective)
+                model = build_milp(data, k, spec, region)
+                res = solve_milp(model)
+                want = highs_optimum(model)
+                assert (res is None) == (want is None), f"trial {trial} {objective}"
+                if res is None:
+                    continue
+                answered += 1
+                if objective == W_DIFFERENCE:
+                    assert abs(want - res.value) <= 1e-9, f"trial {trial}"
+                else:
+                    # the model's objective leaves out the sure-in utility
+                    sure = data.points[model.band.sure_in].sum(axis=0) @ wo.as_array()
+                    assert abs(want + sure - res.utility) <= 1e-9, f"trial {trial}"
+        assert answered > 40

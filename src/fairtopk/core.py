@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-TIE_EPS = 1e-9
-SIMPLEX_SUM_TOL = 1e-12
+from .tolerances import FEAS_TOL, FRACTION_EPS, SIMPLEX_SUM_TOL, TIE_EPS
 
 W_DIFFERENCE = "wdiff"
 UTILITY_LOSS = "utility"
@@ -270,14 +269,14 @@ class FairnessSpec:
         """Integer bounds from per-group fraction pairs.
 
         lower = ceil(lf * k), upper = floor(uf * k) clamped to k, with a
-        1e-9 guard so exact count/k fractions survive float rounding.
+        FRACTION_EPS guard so exact count/k fractions survive float rounding.
         """
         lower, upper = [], []
         for lf, uf in pairs:
             if not (0.0 <= lf <= uf <= 1.0):
                 raise ValueError(f"fraction bounds ({lf}, {uf}) outside [0, 1]")
-            lower.append(int(math.ceil(lf * k - 1e-9)))
-            upper.append(min(int(math.floor(uf * k + 1e-9)), k))
+            lower.append(int(math.ceil(lf * k - FRACTION_EPS)))
+            upper.append(min(int(math.floor(uf * k + FRACTION_EPS)), k))
         spec = cls(lower, upper)
         spec.validate(k)
         return spec
@@ -358,7 +357,7 @@ class WeightRegion:
             rows.append((coeffs, offset))
         return cls(d, rows, reference, objective)
 
-    def contains(self, w, tol=TIE_EPS):
+    def contains(self, w, tol=FEAS_TOL):
         comps = weight_components(w, self.d)
         if any(v < -tol for v in comps):
             return False

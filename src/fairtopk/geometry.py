@@ -16,16 +16,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import TIE_EPS, LpStallError, WeightVector, weight_components
-
-FEAS_TOL = 1e-9
-CELL_TOL = 1e-9
-_ZERO = 1e-12
-_ZERO_ROW = 1e-12
-# a phase-1 total this far above zero is no drift: the LP is infeasible
-_PHASE_ONE_GAP = 1e-3
-# ratio-test entries this small are drift, and pivoting on them amplifies it
-_PIVOT_TOL = 1e-9
+from .core import LpStallError, WeightVector, weight_components
+from .tolerances import (
+    FEAS_TOL, PHASE_ONE_GAP, PHASE_ONE_TOL, PIVOT_TOL, RATIO_TIE, REDUCED_COST_TOL, RHS_SNAP,
+    SEIDEL_BOX_REL, TIE_EPS, ZERO,
+)
 
 SEIDEL_MAX_DIMS = 8
 SEIDEL_BOX = 1e7
@@ -178,7 +173,7 @@ def seidel_lp(problem, seed=0):
     if x is None:
         return LpOutcome("infeasible")
     x = np.asarray(x)
-    if np.any(np.abs(x) >= SEIDEL_BOX * (1.0 - 1e-6)):
+    if np.any(np.abs(x) >= SEIDEL_BOX * (1.0 - SEIDEL_BOX_REL)):
         return LpOutcome("unbounded")
     return LpOutcome("optimal", x, float(problem.c @ x))
 
@@ -194,7 +189,7 @@ def _seidel_rec(rows, c, lo, hi):
         l, h = lo[0], hi[0]
         for a, b in rows:
             av = float(a[0])
-            if abs(av) <= _ZERO:
+            if abs(av) <= ZERO:
                 if b < -FEAS_TOL:
                     return None
                 continue
@@ -217,7 +212,7 @@ def _seidel_rec(rows, c, lo, hi):
             continue
         j = int(np.argmax(np.abs(a)))
         aj = float(a[j])
-        if abs(aj) <= _ZERO:
+        if abs(aj) <= ZERO:
             if b < -FEAS_TOL:
                 return None
             seen.append((a, b))
@@ -260,7 +255,7 @@ def simplex_lp(problem, pivot_budget=20000):
     m = len(problem.rows)
     if m == 0:
         # unconstrained: bounded only if the objective is identically zero
-        if np.any(np.abs(problem.c) > _ZERO):
+        if np.any(np.abs(problem.c) > ZERO):
             return LpOutcome("unbounded")
         return LpOutcome("optimal", np.zeros(n), 0.0)
 
@@ -290,7 +285,7 @@ def simplex_lp(problem, pivot_budget=20000):
     cost1 = np.zeros(n_cols + m)
     cost1[n_cols:] = 1.0
     _, used = _simplex_iterate(A, b, basis, cost1, pivot_budget, phase=1)
-    if float(cost1[basis] @ b) > _PHASE_ONE_GAP:
+    if float(cost1[basis] @ b) > PHASE_ONE_GAP:
         return LpOutcome("infeasible")
     # pivoting drifts the tableau; re-derive it from the rows at the final basis
     try:
@@ -298,7 +293,7 @@ def simplex_lp(problem, pivot_budget=20000):
         b = np.linalg.solve(A0[:, basis], b0)
     except np.linalg.LinAlgError:
         raise LpStallError("the phase-1 basis drifted into a singular matrix") from None
-    if float(cost1[basis] @ b) > 1e-7:
+    if float(cost1[basis] @ b) > PHASE_ONE_TOL:
         return LpOutcome("infeasible")
     # pivot artificials out of the basis where possible, drop dead rows
     rows_keep = []
@@ -306,7 +301,7 @@ def simplex_lp(problem, pivot_budget=20000):
         if basis[i] >= n_cols:
             piv = None
             for j in range(n_cols):
-                if abs(A[i, j]) > 1e-9:
+                if abs(A[i, j]) > PIVOT_TOL:
                     piv = j
                     break
             if piv is None:
@@ -339,11 +334,11 @@ def _pivot(A, b, row, col):
     A[row] /= piv
     b[row] /= piv
     for i in range(len(b)):
-        if i != row and abs(A[i, col]) > _ZERO:
+        if i != row and abs(A[i, col]) > ZERO:
             f = A[i, col]
             A[i] -= f * A[row]
             b[i] -= f * b[row]
-            if b[i] < 0 and b[i] > -1e-11:
+            if b[i] < 0 and b[i] > -RHS_SNAP:
                 b[i] = 0.0
 
 
@@ -360,15 +355,15 @@ def _simplex_iterate(A, b, basis, cost, budget, phase):
         if skip:
             reduced[skip] = 0.0
         if bland:
-            neg = np.nonzero(reduced < -1e-10)[0]
+            neg = np.nonzero(reduced < -REDUCED_COST_TOL)[0]
             if len(neg) == 0:
                 return (A, b), it
             col = int(neg[0])
         else:
             col = int(np.argmin(reduced))
-            if reduced[col] >= -1e-10:
+            if reduced[col] >= -REDUCED_COST_TOL:
                 return (A, b), it
-        pos = A[:, col] > _PIVOT_TOL
+        pos = A[:, col] > PIVOT_TOL
         if not np.any(pos):
             if phase == 2:
                 raise _Unbounded
@@ -381,12 +376,12 @@ def _simplex_iterate(A, b, basis, cost, budget, phase):
         rmin = float(ratios.min())
         # break ratio ties toward the least basis index (Bland's exit rule);
         # without it the entering-side rule alone still admits cycles
-        tied = np.nonzero(ratios <= rmin + 1e-9 * (1.0 + abs(rmin)))[0]
+        tied = np.nonzero(ratios <= rmin + RATIO_TIE * (1.0 + abs(rmin)))[0]
         row = int(min(tied, key=lambda i: basis[i]))
         _pivot(A, b, row, col)
         basis[row] = col
         obj = float(cost[basis] @ b)
-        if obj >= last_obj - 1e-12:
+        if obj >= last_obj - ZERO:
             degenerate_run += 1
             if degenerate_run >= 12:
                 bland = True
@@ -403,28 +398,23 @@ def _simplex_iterate(A, b, basis, cost, budget, phase):
 def region_extreme_points(region):
     """Vertices of the projected region polytope, sorted lexicographically.
 
-    Brute-force vertex enumeration: every (d-1)-subset of rows is solved as
-    a linear system and kept when it satisfies all rows.  Intended for the
-    handful of rows a weight region carries, not for large polytopes.
-    An empty list means the region is empty.
+    Brute-force vertex enumeration: every (d-1)-subset of rows with a
+    nonsingular matrix is solved as a linear system, all in one stacked
+    solve, and kept when it satisfies all rows.  Intended for the handful
+    of rows a weight region carries, not for large polytopes.  An empty
+    list means the region is empty.
     """
     rows = projected_region_rows(region)
-    dim = region.d - 1
     A = np.array([r[0] for r in rows])
     off = np.array([r[1] for r in rows])
+    combs = np.array(list(itertools.combinations(range(len(rows)), region.d - 1)))
+    M = A[combs]
+    solvable = np.linalg.det(M) != 0.0
+    V = np.linalg.solve(M[solvable], -off[combs[solvable]][..., None])[..., 0]
+    V = V[np.all(np.isfinite(V), axis=1)]
     verts = []
-    for comb in itertools.combinations(range(len(rows)), dim):
-        M = A[list(comb)]
-        rhs = -off[list(comb)]
-        try:
-            v = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(v)):
-            continue
-        if np.min(A @ v + off) < -FEAS_TOL:
-            continue
-        if not any(np.max(np.abs(v - u)) <= 1e-9 for u in verts):
+    for v in V[np.min(V @ A.T + off, axis=1) >= -FEAS_TOL]:
+        if not any(np.max(np.abs(v - u)) <= FEAS_TOL for u in verts):
             verts.append(v)
     verts.sort(key=tuple)
     return verts
@@ -601,7 +591,7 @@ class TopkCell:
         subset splits classes) in projected coordinates, or None.
 
         Maximizes the margin xi <= 1 by which the classes clear the cutoff;
-        the point counts only when xi exceeds CELL_TOL.
+        the point counts only when xi exceeds TIE_EPS.
         """
         d = self.band.d
         nv = d + 1  # y (d-1), lambda, xi
@@ -611,7 +601,7 @@ class TopkCell:
         a[d] = 1.0
         rows.append((a, "<=", 1.0))
         out = simplex_lp(LpProblem(a, rows, "max"))
-        if out.status != "optimal" or out.value <= CELL_TOL:
+        if out.status != "optimal" or out.value <= TIE_EPS:
             return None
         return tuple(float(v) for v in out.x[: d - 1])
 
@@ -646,7 +636,7 @@ class TopkCell:
         with itself under every weight, so the cell has no interior: its own
         pair adds no row, the weight is the centre of the cell the other
         rows leave, and the radius reads 0 with the degenerate flag set, as
-        it does for a radius within TIE_EPS of 0.  The box radius is the
+        it does for a radius within FEAS_TOL of 0.  The box radius is the
         per-component half-width that no wall can cross.
         """
         band, d = self.band, self.band.d
@@ -657,7 +647,7 @@ class TopkCell:
         rows = []
         for gi, hi in list(zip(g[other], h[other])) + band.walls:
             norm = float(np.linalg.norm(gi))
-            if norm <= _ZERO_ROW:
+            if norm <= ZERO:
                 if hi < -TIE_EPS:
                     return None  # violated under every weight, cell empty
                 continue
@@ -668,7 +658,7 @@ class TopkCell:
         if out.status != "optimal":
             return None
         margin = max(0.0, float(out.value))
-        degenerate = bool(np.any(self.side == 0)) or margin <= TIE_EPS
+        degenerate = bool(np.any(self.side == 0)) or margin <= FEAS_TOL
         if degenerate:
             margin = 0.0
         max_l1 = max([1.0] + [float(np.abs(row[: d - 1]).sum()) for row, _, _ in rows])

@@ -27,12 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TIE_EPS, BudgetExceededError, W_DIFFERENCE
+from .core import BudgetExceededError, W_DIFFERENCE
 from .geometry import CutoffBand, LpProblem, TopkCell, l1_envelope_rows, simplex_lp
+from .tolerances import CUT_TOL, INT_TOL, TIE_EPS
 from .verify import finish_result
 
-INT_TOL = 1e-6
-CUT_TOL = 1e-12
 DEFAULT_NODE_BUDGET = 200_000
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    TIE_EPS,
     Candidate,
     DataFormatError,
     Dataset,
@@ -37,6 +36,7 @@ from .klevel import traverse
 from .milp import build_milp, solve_milp
 from .stability import stable_weight
 from .sweep2d import sweep_select
+from .tolerances import KEY_EPS, TIE_EPS
 from .verify import (
     fair_topk_witness,
     finish_result,
@@ -400,7 +400,7 @@ def brute_select_2d(dataset, k, spec, region, wo=None, objective=None):
     inter = pts[:, 1]
     positions = {lb, ub}
     wo_x = wo[0]
-    if lb - 1e-15 <= wo_x <= ub + 1e-15:
+    if lb - KEY_EPS <= wo_x <= ub + KEY_EPS:
         positions.add(min(max(wo_x, lb), ub))
     n = len(dataset)
     for i in range(n):
@@ -414,7 +414,7 @@ def brute_select_2d(dataset, k, spec, region, wo=None, objective=None):
     order = sorted(positions)
     probes = [(x, x) for x in order]
     for a, b in zip(order, order[1:]):
-        if b - a > 1e-15:
+        if b - a > KEY_EPS:
             rep = min(max(wo_x, a), b) if objective == W_DIFFERENCE else 0.5 * (a + b)
             probes.append((0.5 * (a + b), rep))
 
@@ -431,7 +431,7 @@ def brute_select_2d(dataset, k, spec, region, wo=None, objective=None):
             if hit is None:
                 continue
             key = -hit[1]
-        if best is None or key < best[0] - 1e-15:
+        if best is None or key < best[0] - KEY_EPS:
             best = (key, rep, probe)
     if best is None:
         return None

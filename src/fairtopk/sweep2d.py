@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import W_DIFFERENCE
 from .geometry import band_split, dual_line, lift_weight
+from .tolerances import KEY_EPS
 from .verify import finish_result, max_fair_utility, verify_fair
 
 _INF = math.inf
@@ -285,11 +286,11 @@ def sweep_select(dataset, k, spec, region):
         dist = abs(rep - wo_x)
         if (
             best is None
-            or key < best[0] - 1e-15
-            or (key < best[0] + 1e-15 and dist < best[1] - 1e-15)
+            or key < best[0] - KEY_EPS
+            or (key < best[0] + KEY_EPS and dist < best[1] - KEY_EPS)
         ):
             best = (key, dist, rep, probe)
-        if rep >= wo_x - 1e-15:
+        if rep >= wo_x - KEY_EPS:
             break  # nothing right of here can improve either objective
 
     if best is None:

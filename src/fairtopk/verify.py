@@ -17,7 +17,6 @@ from itertools import combinations
 import numpy as np
 
 from .core import (
-    TIE_EPS,
     BudgetExceededError,
     FairResult,
     UTILITY_LOSS,
@@ -30,6 +29,7 @@ from .core import (
     w_difference,
     weight_components,
 )
+from .tolerances import KEY_EPS, TIE_EPS
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,7 @@ def _search(tally, slack, spec, best=False, stats=None):
                 if not best:
                     return taken
                 util = sum(tally.prefix[p][m] for p, m in taken.items())
-                if util > best_util + 1e-15:
+                if util > best_util + KEY_EPS:
                     best_util, best_assign = util, taken
             return None
         hi = min(avail[i], remaining)

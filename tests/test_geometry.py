@@ -1,5 +1,6 @@
 """LP kernels, simplex projection, and region vertex enumeration."""
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,47 @@ class TestRegions:
             + [(row, ">=", 0.0) for row in np.eye(len(verts))],
         )
         assert simplex_lp(prob).status == "optimal"
+
+    @staticmethod
+    def looped_extreme_points(region):
+        """The one-subset-at-a-time enumeration the stacked solve replaced."""
+        rows = projected_region_rows(region)
+        A = np.array([r[0] for r in rows])
+        off = np.array([r[1] for r in rows])
+        verts = []
+        for comb in itertools.combinations(range(len(rows)), region.d - 1):
+            try:
+                v = np.linalg.solve(A[list(comb)], -off[list(comb)])
+            except np.linalg.LinAlgError:
+                continue
+            if not np.all(np.isfinite(v)) or np.min(A @ v + off) < -1e-9:
+                continue
+            if not any(np.max(np.abs(v - u)) <= 1e-9 for u in verts):
+                verts.append(v)
+        verts.sort(key=tuple)
+        return verts
+
+    def test_stacked_solve_matches_the_subset_loop(self):
+        rng = np.random.default_rng(2024)
+        regions = [
+            WeightRegion.box(WeightVector((0.5, 0.5)), 0.1, extra=[(1.0, 0.0, -0.9)]),  # empty
+            WeightRegion.box(WeightVector((0.2, 0.3, 0.5)), 1.0),
+            WeightRegion.box(WeightVector((0.1, 0.2, 0.3, 0.4)), 1.5),
+        ]
+        for trial in range(120):
+            d = int(rng.integers(2, 6))
+            wo = WeightVector(tuple(rng.dirichlet(np.ones(d))))
+            extra = []
+            if trial % 5 == 0:
+                a = rng.normal(size=d)
+                extra.append(tuple(a) + (float(-a @ wo.as_array() + rng.uniform(-0.05, 0.1)),))
+            regions.append(WeightRegion.box(wo, float(rng.uniform(0.01, 1.0)), extra=extra))
+        for i, region in enumerate(regions):
+            got, want = region_extreme_points(region), self.looped_extreme_points(region)
+            assert len(got) == len(want), i
+            for u, v in zip(got, want):
+                assert np.array_equal(u, v), i
+        assert region_extreme_points(regions[0]) == []
 
 
 class TestHyperplaneSide:

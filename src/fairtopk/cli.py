@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 = question answered, 2 = no fair weight vector exists in
-the region, 1 = error.
+the region, 3 = a search budget ran out (select writes the best result
+found so far, marked partial), 4 = an LP stalled, 1 = any other error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ import time
 
 import numpy as np
 
-from .core import FairTopkError, FairnessSpec, WeightVector
+from .core import (
+    BudgetExceededError, FairResult, FairTopkError, FairnessSpec, LpStallError, WeightVector,
+    group_counts,
+)
 from .generators import random_ov, random_setcover, random_tov
 from .pipeline import (
     RunConfig,
@@ -30,7 +34,6 @@ from .pipeline import (
     write_csv,
 )
 from .verify import fair_topk_witness, naive_verify_oracle, verify_fair
-from .core import group_counts
 
 
 def _read_config(path):
@@ -97,7 +100,13 @@ def cmd_select(args):
     config = _read_config(args.config)
     data = _load_for(config, args.data)
     t0 = time.perf_counter()
-    result = select(data, config)
+    try:
+        result = select(data, config)
+    except BudgetExceededError as exc:
+        if isinstance(exc.partial, FairResult):
+            elapsed = (time.perf_counter() - t0) * 1000.0
+            _emit(dict(result_json(data, config, exc.partial, elapsed), partial=True), args.out)
+        raise
     elapsed = (time.perf_counter() - t0) * 1000.0
     _emit(result_json(data, config, result, elapsed), args.out)
     return 0 if result is not None else 2
@@ -272,7 +281,7 @@ def main(argv=None):
         return args.func(args)
     except (FairTopkError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return {BudgetExceededError: 3, LpStallError: 4}.get(type(exc), 1)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -503,9 +502,12 @@ class CutoffBand:
     region.  The band rows fall into duplicate-point classes, numbered by
     their first band row so every cell LP keeps the band's row order; each
     class has a size and one projected score form (Q, r).  walls are the
-    region's projected rows, simplex first, and crosses[a][b] tells whether
-    the tie hyperplane of classes a and b meets the region, so that moving
-    a seat between them can change the top-k there.
+    region's projected rows, simplex first.  One hyperplane_side call over
+    the class pairs gives the band's r-dominance order, two boolean
+    matrices: crosses[a, b] tells whether the tie hyperplane of classes a
+    and b meets the region, so that moving a seat between them can change
+    the top-k there, and above[a, b] whether class a scores above class b
+    at every weight in the region.
     """
 
     def __init__(self, dataset, k, region):
@@ -523,11 +525,9 @@ class CutoffBand:
         self.Q, self.r = project_points(points[self.rows[np.sort(first)]])
         self.walls = projected_region_rows(region)
 
-    @cached_property
-    def crosses(self):
-        diff = self.Q[:, None, :] - self.Q[None, :, :]
-        off = self.r[:, None] - self.r[None, :]
-        return (hyperplane_side(diff, off, self.verts) == 0).tolist()
+        side = hyperplane_side(self.Q[:, None] - self.Q[None], self.r[:, None] - self.r[None],
+                               self.verts)
+        self.crosses, self.above = side == 0, side == 1
 
     def seats(self, subset):
         """Seats the subset, a sequence of ids, takes in each class, or None

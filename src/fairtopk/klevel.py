@@ -8,9 +8,14 @@ classes and the class pairs whose tie hyperplane meets the region.  A node
 is the seats its subset takes in each class.  From witness points the
 traversal expands nodes breadth-first by moving one seat between two such
 classes; each distinct seat tuple a move reaches gets one witness LP of its
-geometry.TopkCell.  Fairness of every visited node is delegated to the
-verify module at its witness, so split classes tied there stay exact; a
-fair node's weight is its cell's closest point to the reference.
+geometry.TopkCell, unless the band's r-dominance order proves the cell
+empty (Ciaccia and Martinenghi, PVLDB 2017).  Every taken class sits on or
+above the cutoff and every class that is not full on or below it, so a
+move is skipped when a taken class lies below the donor everywhere in the
+region, or a class left not full lies above the receiver everywhere.
+Fairness of every visited node is delegated to the verify module at its
+witness, so split classes tied there stay exact; a fair node's weight is
+its cell's closest point to the reference.
 
 The walk is serial, one first-in first-out queue: its work is pure-Python
 LP code that holds the GIL, so threads cannot overlap it and only add
@@ -49,8 +54,9 @@ class TraversalLedger:
     """Work accounting for budget enforcement and the soundness tests."""
 
     cells_visited: int = 0
-    swap_tests: int = 0  # cell LPs, one per distinct seat tuple a swap reaches
+    swap_tests: int = 0  # cell LPs, one per distinct open seat tuple a swap reaches
     pruned_by_region: int = 0  # class pairs whose tie hyperplane misses the region
+    pruned_by_order: int = 0  # seat tuples the band's order proves empty, no LP
     fair_cells: int = 0
 
 
@@ -77,7 +83,8 @@ def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGE
     from the region centroid, its extreme points and the reference weight.
     Under w-difference each fair cell contributes its closest point to the
     reference; under utility loss its witness utility.  ledger.swap_tests
-    counts one cell LP per distinct seat tuple a move reaches; more than
+    counts one cell LP per distinct seat tuple a move reaches and the
+    band's order leaves open (ledger.pruned_by_order the others); more than
     swap_budget of them raise BudgetExceededError with the best so far as
     partial.  workers is accepted and ignored: the walk is serial (see the
     module docstring).
@@ -108,7 +115,7 @@ def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGE
             seen.add(node.seats)
             work.append(node)
 
-    size, crosses = band.size.tolist(), band.crosses
+    size, crosses, above = band.size.tolist(), band.crosses.tolist(), band.above.tolist()
     sols = []  # (objective key, id subset, node, closest cell point)
 
     def evaluate(node):
@@ -130,8 +137,14 @@ def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGE
 
         A swap moves one seat from a class to another it does not fill."""
         seats = node.seats
+        taken = [a for a, s in enumerate(seats) if s]
         free = [b for b, (s, n) in enumerate(zip(seats, size)) if s < n]
-        for a in (a for a, s in enumerate(seats) if s):
+        # the order rules a move out when a taken class lies below the donor
+        # a everywhere, or a class left not full lies above the receiver b;
+        # b itself, and a itself, fall to the crosses prune first
+        outranked = {b: any(above[e][b] for e in free) for b in free}
+        for a in taken:
+            outranks = any(above[a][c] for c in taken)
             for b in free:
                 if b == a:
                     continue
@@ -145,6 +158,9 @@ def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGE
                 if moved in seen:
                     continue
                 seen.add(moved)
+                if outranks or outranked[b]:
+                    ledger.pruned_by_order += 1
+                    continue
                 ledger.swap_tests += 1
                 if ledger.swap_tests > swap_budget:
                     return False

@@ -9,7 +9,12 @@ required to lie in [0,1] so every score and the threshold live in [0,1]
 too; the band's cutoff rows bound the threshold.  Group count rows encode
 fairness, the region rows restrict the weights, and the objective is
 either the L1 distance to the reference weights or the selected band
-rows' reference utility.
+rows' reference utility.  Precedence rows delta_q <= delta_p follow the
+band's r-dominance order: when every row p of one class scores above
+every row q of another at every weight of the region, q is never taken
+without p.  They are valid inequalities, so they cut off no integral
+point, only fractional ones; one pair of classes per edge of the order's
+transitive reduction suffices.
 
 The solver is a best-first branch and bound over the dense-simplex
 relaxation.  Integral relaxation points are checked and placed by the
@@ -49,7 +54,7 @@ class MilpModel:
     band: CutoffBand
     c: np.ndarray
     direction: str
-    rows: list            # (coeffs, relation, rhs) in build order
+    rows: list            # (coeffs, relation, rhs) in build order, precedence rows last
     bounds: list          # (lo, hi) per variable, None for free
     binaries: list        # variable indices of the membership binaries
     names: list
@@ -62,9 +67,11 @@ class MilpModel:
 def build_milp(dataset, k, spec, region):
     """Assemble the model over the cutoff band, rows in a fixed order: two
     score rows per band row, the cutoff rows, cardinality, two rows per
-    group, the simplex row, the region rows and, for wdiff, the L1
-    envelope rows.  The cardinality and group bounds have the sure-in
-    rows' seats and counts taken off."""
+    group, the simplex row, the region rows, for wdiff the L1 envelope
+    rows, and last one precedence row per pair of band rows whose classes
+    are an edge of the transitive reduction of band.above.  The
+    cardinality and group bounds have the sure-in rows' seats and counts
+    taken off."""
     spec.validate(k)
     if region.d != dataset.d:
         raise ValueError("region dimension does not match the dataset")
@@ -114,6 +121,14 @@ def build_milp(dataset, k, spec, region):
         rows.append((a, ">=", -off))
     if wdiff:
         rows.extend(l1_envelope_rows(wo, nv, d + 1 + m))
+    # edges of the transitive reduction of the order: no class lies between
+    above = band.above.astype(int)
+    edges = band.above & ~(above @ above > 0)
+    for p, q in zip(*np.nonzero(edges[band.cls][:, band.cls])):
+        a = np.zeros(nv)
+        a[d + 1 + q] = 1.0
+        a[d + 1 + p] = -1.0
+        rows.append((a, "<=", 0.0))
 
     bounds = [(0.0, 1.0)] * (d + 1 + m) + [(0.0, None)] * (d if wdiff else 0)
 

@@ -5,7 +5,11 @@ import json
 
 import pytest
 
+import fairtopk.cli
 from fairtopk.cli import main
+from fairtopk.core import (
+    BudgetExceededError, FairResult, LpStallError, W_DIFFERENCE, WeightVector,
+)
 from fairtopk.pipeline import RunConfig, load_csv
 
 from conftest import FIVE_POINTS
@@ -224,3 +228,40 @@ class TestErrorPaths:
         code = main(["verify", "--data", str(bad), "--config", workdir["config"]])
         assert code == 1
         assert "line 2" in capsys.readouterr().err
+
+
+class TestSearchFailures:
+    """A spent budget exits 3 and keeps its partial result; a stalled LP exits 4."""
+
+    def raising(self, monkeypatch, exc):
+        def select(data, config):
+            raise exc
+
+        monkeypatch.setattr(fairtopk.cli, "select", select)
+
+    def test_budget_writes_the_partial_result(self, workdir, monkeypatch, capsys):
+        partial = FairResult(WeightVector((0.6, 0.4)), W_DIFFERENCE, 0.2, (2, 4), "klevel")
+        self.raising(monkeypatch, BudgetExceededError("swap budget 1 exceeded", partial=partial))
+        out = workdir["tmp"] / "partial.json"
+        code = main(["select", "--data", workdir["data"], "--config", workdir["config"],
+                     "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == "error: swap budget 1 exceeded\n"
+        payload = read_json(out)
+        assert payload["partial"] is True and payload["fair"] is True
+        assert payload["weight"] == [0.6, 0.4] and payload["topk_ids"] == [2, 4]
+        assert payload["objective_value"] == 0.2 and payload["group_counts"] == {"blue": 1}
+
+    def test_budget_without_a_partial_result_writes_nothing(self, workdir, monkeypatch, capsys):
+        self.raising(monkeypatch, BudgetExceededError("node budget 1 exceeded"))
+        code = main(["select", "--data", workdir["data"], "--config", workdir["config"]])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: node budget 1 exceeded\n"
+
+    def test_lp_stall_exits_four(self, workdir, monkeypatch, capsys):
+        self.raising(monkeypatch, LpStallError("simplex exceeded 20000 pivots in phase 2"))
+        code = main(["select", "--data", workdir["data"], "--config", workdir["config"]])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: simplex exceeded")

@@ -34,6 +34,8 @@ from fairtopk.geometry import (
     simplex_lp,
     simplex_rows_projected,
 )
+from fairtopk.generators import random_instance
+from fairtopk.tolerances import FEAS_TOL
 
 
 def random_lp(rng, nvars, nrows, feasible_bias=True):
@@ -452,3 +454,47 @@ class TestCutoffBandClasses:
         assert cell.witness() is not None
         assert cell.center() is not None
         assert seen == [witness_rows + WITNESS_TAIL, center_rows + CENTER_TAIL]
+
+
+class TestBandOrder:
+    """crosses and above, read from one sign matrix over the band's class
+    pairs, against per-vertex scores."""
+
+    def bands(self):
+        rng = np.random.default_rng(151)
+        for trial in range(16):
+            d = 3 + trial % 2
+            data = random_instance(rng, n=int(rng.integers(10, 25)), d=d, n_protected=1,
+                                   dup_rate=float(rng.uniform(0.2, 0.4)))
+            wo = WeightVector(tuple(rng.dirichlet(np.ones(d))))
+            region = WeightRegion.box(wo, float(rng.uniform(0.05, 0.3)))
+            yield CutoffBand(data, int(rng.integers(2, 7)), region)
+        whole = WeightRegion(2, [], (0.5, 0.5), W_DIFFERENCE)
+        for points in TestCutoffBandClasses.CASES["n_equals_k"][0], \
+                TestCutoffBandClasses.CASES["one_class_band"][0]:
+            yield CutoffBand(Dataset([Candidate(i, p, set()) for i, p in enumerate(points)]),
+                             2, whole)
+
+    def test_order_matches_vertex_scores(self):
+        sizes, pairs, shared = [], 0, 0
+        for band in self.bands():
+            n = len(band.size)
+            sizes.append(n)
+            above, crosses = band.above, band.crosses
+            # class scores at each region vertex, from the class's own rows
+            first = np.array([band.rows[band.cls == c][0] for c in range(n)], dtype=int)
+            weights = np.array([lift_weight(v).as_array() for v in band.verts])
+            scores = band.dataset.points[first] @ weights.T
+            gap = scores[:, None, :] - scores[None, :, :]
+            assert np.array_equal(above, np.all(gap > FEAS_TOL, axis=-1))
+            below = np.all(gap < -FEAS_TOL, axis=-1)
+            assert np.array_equal(crosses, ~above & ~below)
+            assert not np.any(np.diag(above))
+            assert not np.any(above & above.T)
+            assert not np.any(above & crosses)
+            closure = (above.astype(int) @ above.astype(int)) > 0
+            assert not np.any(closure & ~above), "above is not transitive"
+            pairs += int(above.sum())
+            shared += int(np.count_nonzero(band.size > 1))
+        assert sizes[-2:] == [0, 1]
+        assert pairs >= 50 and shared >= 10 and max(sizes) >= 5

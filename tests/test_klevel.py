@@ -1,10 +1,13 @@
 """Cell traversal engine: cell LPs, per-cell optima, budget, determinism."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import fairtopk.geometry
+import fairtopk.klevel
 from fairtopk.core import (
     BudgetExceededError,
     Candidate,
@@ -20,7 +23,7 @@ from fairtopk.klevel import TraversalLedger, initial_cell, traverse
 from fairtopk.milp import build_milp, solve_milp
 from fairtopk.pipeline import RunConfig, select
 from fairtopk.sweep2d import sweep_select
-from fairtopk.verify import decompose_topk, verify_fair
+from fairtopk.verify import decompose_topk, finish_result, max_fair_utility, verify_fair
 from conftest import tied_instance
 
 
@@ -381,3 +384,120 @@ class TestDuplicateTieFaces:
         wo = (0.45340374944687006, 0.24865015257213122, 0.2979460979809987)
         res = self.solve(rows, 8, [(0.0, 0.375), (0.375, 1.0)], wo, 0.106827)
         assert_allclose(res.value, 0.008209236175097945, atol=1e-9)
+
+
+def unfiltered_walk(dataset, k, spec, region):
+    """The walk without the band's order check: every distinct seat tuple a
+    move reaches gets its witness LP.  Returns (ledger, {seat tuple: its
+    cell is empty}, result)."""
+    ledger = TraversalLedger()
+    band = CutoffBand(dataset, k, region)
+    objective, wo = region.objective, region.reference
+    seeds = [band.verts.mean(axis=0), *band.verts]
+    if region.contains(wo):
+        seeds.append(np.asarray(wo.weights[:-1]))
+    seen, work, empty, sols = set(), deque(), {}, []
+    for s in seeds:
+        seats = band.seats(decompose_topk(dataset, k, lift_weight(s)).order[:k])
+        if seats is not None and seats not in seen:
+            seen.add(seats)
+            work.append((seats, tuple(float(v) for v in s)))
+    size = band.size.tolist()
+    while work:
+        seats, witness = work.popleft()
+        ledger.cells_visited += 1
+        w_node = lift_weight(witness)
+        if objective == UTILITY_LOSS:
+            hit = max_fair_utility(dataset, k, spec, w_node, wo)
+            if hit is not None:
+                ledger.fair_cells += 1
+                sols.append((-hit[1], band.subset(seats), seats, witness, None))
+        elif verify_fair(dataset, k, spec, w_node):
+            cell = TopkCell(band, seats).closest()
+            if cell is not None:
+                ledger.fair_cells += 1
+                sols.append((cell[1], band.subset(seats), seats, witness, cell[0]))
+        free = [b for b, (s, n) in enumerate(zip(seats, size)) if s < n]
+        for a in (a for a, s in enumerate(seats) if s):
+            for b in free:
+                if b == a:
+                    continue
+                if not band.crosses[a][b]:
+                    ledger.pruned_by_region += 1
+                    continue
+                moved = list(seats)
+                moved[a] -= 1
+                moved[b] += 1
+                moved = tuple(moved)
+                if moved in seen:
+                    continue
+                seen.add(moved)
+                ledger.swap_tests += 1
+                found = TopkCell(band, moved).witness()
+                empty[moved] = found is None
+                if found is not None:
+                    work.append((moved, found))
+    if not sols:
+        return ledger, empty, None
+    _, _, seats, witness, point = min(sols, key=lambda s: (s[0], s[1]))
+    if point is None:
+        cell = TopkCell(band, seats).closest()
+        point = cell[0] if cell is not None else None
+    weights = [lift_weight(witness)] if point is None else [point, lift_weight(witness)]
+    return ledger, empty, finish_result(dataset, k, spec, region, weights, "klevel")
+
+
+class TestOrderFilter:
+    """The band's r-dominance order skips only swaps whose cell is empty:
+    the walk, its counts and its answers match the unfiltered walk."""
+
+    @pytest.mark.parametrize("d, ks, seed", [(3, (4, 5, 6, 7, 8), 131), (4, (3, 4, 5), 137)],
+                             ids=["d=3", "d=4"])
+    def test_filter_skips_only_empty_cells(self, d, ks, seed, monkeypatch):
+        asked = []
+
+        class RecordingCell(TopkCell):
+            def __init__(self, band, seats):
+                super().__init__(band, seats)
+                self.seats = seats
+
+            def witness(self):
+                asked.append(self.seats)
+                return super().witness()
+
+        monkeypatch.setattr(fairtopk.klevel, "TopkCell", RecordingCell)
+        rng = np.random.default_rng(seed)
+        skipped = tests = 0
+        for trial in range(10):
+            k = ks[trial % len(ks)]
+            data, _ = tied_instance(rng, n=2 * k + 4, d=d, n_protected=1, k=k,
+                                    dup_rate=float(rng.uniform(0.2, 0.3)))
+            wo = WeightVector(tuple(rng.dirichlet(np.ones(d))))
+            lo, hi = seat_off_reference(data, k, wo)
+            spec = FairnessSpec(lower=[lo], upper=[hi])
+            for objective in (W_DIFFERENCE, UTILITY_LOSS):
+                region = WeightRegion.box(wo, float(rng.uniform(0.1, 0.3)), objective=objective)
+                ledger = TraversalLedger()
+                asked.clear()
+                got = traverse(data, k, spec, region, ledger=ledger)
+                want_ledger, empty, want = unfiltered_walk(data, k, spec, region)
+                at = f"trial {trial} {objective}"
+                for field in ("cells_visited", "fair_cells", "pruned_by_region"):
+                    assert getattr(ledger, field) == getattr(want_ledger, field), (at, field)
+                assert ledger.swap_tests + ledger.pruned_by_order == want_ledger.swap_tests, at
+                assert len(asked) == ledger.swap_tests and set(asked) <= set(empty), at
+                missed = set(empty) - set(asked)
+                assert len(missed) == ledger.pruned_by_order, at
+                band = CutoffBand(data, k, region)
+                for seats in missed:
+                    assert empty[seats], f"{at}: skipped seats {seats} have a non-empty cell"
+                    assert TopkCell(band, seats).witness() is None, at
+                skipped += ledger.pruned_by_order
+                tests += ledger.swap_tests
+                if want is None:
+                    assert got is None, at
+                    continue
+                assert_allclose(got.value, want.value, atol=1e-12, rtol=0, err_msg=at)
+                assert_allclose(got.weight.as_array(), want.weight.as_array(), atol=1e-12, rtol=0)
+                assert got.subset == want.subset, at
+        assert skipped >= 20 and tests >= 20, (skipped, tests)

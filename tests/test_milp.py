@@ -76,10 +76,10 @@ def subset_feasibility_lp(data, region, subset, objective):
     return float(out.value)
 
 
-def enumerate_best(data, k, spec, region):
-    """Independent reference: try every k-subset with an LP."""
+def fair_subsets(data, k, spec, region):
+    """(value, subset) of every fair k-subset that is a top-k somewhere in
+    the region, by an LP per subset."""
     wo = region.reference
-    best = None
     for subset in combinations(data.ids, k):
         if not is_fair_counts(group_counts(data, subset, spec.n_protected), spec):
             continue
@@ -87,13 +87,25 @@ def enumerate_best(data, k, spec, region):
         if got is None:
             continue
         if region.objective == W_DIFFERENCE:
-            value = got
+            yield got, subset
         else:
-            util = sum(float(np.dot(data.by_id(c).point, wo.as_array())) for c in subset)
-            value = -util
-        if best is None or value < best - 1e-12:
-            best = value
-    return best
+            yield -sum(float(np.dot(data.by_id(c).point, wo.as_array())) for c in subset), subset
+
+
+def enumerate_best(data, k, spec, region):
+    """Independent reference: try every k-subset with an LP."""
+    return min((value for value, _ in fair_subsets(data, k, spec, region)), default=None)
+
+
+def precedence_rows(model):
+    """The model's delta_q - delta_p <= 0 rows, as (p, q) binary columns."""
+    out = []
+    for a, rel, b in model.rows:
+        nz = np.nonzero(a)[0]
+        if rel == "<=" and b == 0.0 and len(nz) == 2 and set(nz) <= set(model.binaries) \
+                and sorted(a[nz]) == [-1.0, 1.0]:
+            out.append((int(nz[a[nz] < 0][0]), int(nz[a[nz] > 0][0])))
+    return out
 
 
 class TestModelAssembly:
@@ -152,6 +164,57 @@ class TestModelAssembly:
         row_lines = [l for l in lines if l.startswith(" r")]
         assert len(row_lines) == len(model.rows) == 21
         assert row_lines[0].startswith(" r0:")
+
+
+class TestPrecedenceRows:
+    """Rows delta_q <= delta_p from the band's r-dominance order."""
+
+    def test_rows_follow_the_reduced_order(self):
+        rng = np.random.default_rng(233)
+        rows = 0
+        for trial in range(10):
+            data = random_instance(rng, n=20, d=3, n_protected=1, dup_rate=0.3)
+            region = WeightRegion.box(WeightVector(tuple(rng.dirichlet(np.ones(3)))), 0.1)
+            model = build_milp(data, 5, FairnessSpec.vacuous(1, 5), region)
+            band, above = model.band, model.band.above
+            pos = {idx: j for j, idx in enumerate(model.binaries)}
+            got = {(band.cls[pos[p]], band.cls[pos[q]]) for p, q in precedence_rows(model)}
+            for a, b in got:
+                assert above[a, b], f"trial {trial}: a row against the order"
+                assert not np.any(above[a] & above[:, b]), f"trial {trial}: ({a}, {b}) not reduced"
+            for a, b in zip(*np.nonzero(above)):
+                # every ordered pair is implied by a chain of rows
+                assert (a, b) in got or np.any(above[a] & above[:, b]), f"trial {trial}"
+            want = sum(band.size[a] * band.size[b] for a, b in got)
+            assert len(precedence_rows(model)) == want
+            rows += want
+        assert rows >= 20
+
+    @pytest.mark.parametrize("objective", [W_DIFFERENCE, UTILITY_LOSS])
+    def test_fair_subsets_satisfy_every_row(self, objective):
+        rng = np.random.default_rng(239)
+        checked = 0
+        for trial in range(12):
+            k = int(rng.integers(3, 5))
+            data, spec = tied_instance(rng, n=10, d=3, n_protected=1, k=k, dup_rate=0.3)
+            wo = WeightVector(tuple(rng.dirichlet(np.ones(3))))
+            region = WeightRegion.box(wo, float(rng.uniform(0.1, 0.3)), objective=objective)
+            model = build_milp(data, k, spec, region)
+            rows = precedence_rows(model)
+            found = list(fair_subsets(data, k, spec, region))
+            if not found:
+                continue
+            best = min(value for value, _ in found)
+            res = solve_milp(model)
+            assert_allclose(res.value if objective == W_DIFFERENCE else -res.utility, best,
+                            atol=1e-7, err_msg=f"trial {trial}")
+            ids = data.id_array[model.band.rows]
+            for value, subset in found:
+                delta = dict(zip(model.binaries, np.isin(ids, subset)))
+                for p, q in rows:
+                    assert delta[q] <= delta[p], f"trial {trial}: {subset} breaks ({p}, {q})"
+                checked += bool(rows) and value <= best + 1e-9
+        assert checked >= 6
 
 
 class TestSolve:
@@ -375,7 +438,7 @@ class TestBandModel:
 
     def test_highs_agrees_on_the_model(self):
         rng = np.random.default_rng(41)
-        answered = 0
+        answered = ordered = 0
         for trial in range(30):
             k, n_protected = int(rng.integers(3, 8)), int(rng.integers(1, 3))
             data = random_instance(
@@ -388,6 +451,7 @@ class TestBandModel:
             for objective in (W_DIFFERENCE, UTILITY_LOSS):
                 region = WeightRegion.box(wo, eps, objective=objective)
                 model = build_milp(data, k, spec, region)
+                ordered += bool(precedence_rows(model))
                 res = solve_milp(model)
                 want = highs_optimum(model)
                 assert (res is None) == (want is None), f"trial {trial} {objective}"
@@ -401,3 +465,4 @@ class TestBandModel:
                     sure = data.points[model.band.sure_in].sum(axis=0) @ wo.as_array()
                     assert abs(want + sure - res.utility) <= 1e-9, f"trial {trial}"
         assert answered > 40
+        assert ordered >= 20  # a third of the 60 models carry precedence rows

@@ -92,9 +92,6 @@ class DualLine:
     slope: float
     intercept: float
 
-    def value(self, x):
-        return self.slope * x + self.intercept
-
 
 def dual_line(cid, point):
     px, py = (float(v) for v in point)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -67,8 +68,13 @@ class RunConfig:
     stable: bool = False
 
     def __post_init__(self):
+        # bools are Integral, and json gives true for a mistyped 1
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
+        if isinstance(self.epsilon, bool) or not isinstance(self.epsilon, numbers.Real):
+            raise ValueError(f"epsilon must be a number, got {self.epsilon!r}")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
         if self.objective not in OBJECTIVES:
@@ -77,11 +83,15 @@ class RunConfig:
             raise ValueError(f"unknown engine {self.engine!r}")
         cleaned = []
         for entry in self.protected:
-            if isinstance(entry, dict):
-                name, lo, hi = entry["name"], entry["lower"], entry["upper"]
-            else:
+            try:
+                if isinstance(entry, dict):
+                    entry = entry["name"], entry["lower"], entry["upper"]
                 name, lo, hi = entry
-            lo, hi = float(lo), float(hi)
+                lo, hi = float(lo), float(hi)
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(
+                    f"protected entry {entry!r} must give a name, lower and upper bound"
+                ) from None
             if not (0.0 <= lo <= hi <= 1.0):
                 raise ValueError(f"bounds for {name!r} must satisfy 0 <= lower <= upper <= 1")
             cleaned.append((str(name), lo, hi))
@@ -96,6 +106,8 @@ class RunConfig:
     def from_json(cls, payload):
         if isinstance(payload, str):
             payload = json.loads(payload)
+        if not isinstance(payload, dict):
+            raise ValueError(f"config must be a JSON object, got {type(payload).__name__}")
         known = {
             "k", "epsilon", "objective", "engine", "protected", "wo",
             "extra_halfspaces", "seed", "workers", "stable",
@@ -103,6 +115,9 @@ class RunConfig:
         unknown = set(payload) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        missing = {"k", "epsilon"} - set(payload)
+        if missing:
+            raise ValueError(f"missing config keys: {sorted(missing)}")
         return cls(**payload)
 
 

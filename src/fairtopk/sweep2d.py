@@ -1,19 +1,19 @@
 """Two-dimensional engine: sweep the weight interval left to right.
 
 With d = 2 every weight is (x, 1-x) and every candidate becomes a dual
-line over x.  The top-k subset changes only where a line from the bottom
-set overtakes a line of the top set, so two kinetic tournament trees (the
-top set keyed by its minimum, the bottom set by its maximum) drive the
-sweep from one exchange to the next.  Only the cutoff band (the lines in
+line over x.  The top-k subset changes only at the vertices of the k-th
+level of that line arrangement, where a line from the bottom set overtakes
+the lowest line of the top set, so the sweep walks the level one lowest
+member line at a time (Edelsbrunner and Welzl, Constructing belts in
+two-dimensional arrangements, 1986).  Only the cutoff band (the lines in
 some but not every top-k over the interval, geometry.band_split) can take
-part in an exchange, so the trees hold the band lines alone.  Fairness at
+part in an exchange, so the walk holds the band lines alone.  Fairness at
 every visited position is delegated to the verify module, which owns tie
 handling and always sees the full dataset.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import cmp_to_key
@@ -24,8 +24,6 @@ from .core import W_DIFFERENCE
 from .geometry import band_split, dual_line, lift_weight
 from .tolerances import KEY_EPS
 from .verify import finish_result, max_fair_utility, verify_fair
-
-_INF = math.inf
 
 
 def cross_x(a, b):
@@ -50,130 +48,26 @@ def line_above(a, b, x):
     return a.slope < b.slope
 
 
-class KineticTournament:
-    """Tournament tree over dual lines with crossing certificates.
-
-    mode "min" keeps the lowest line at the root, "max" the highest, under
-    the just-after-x order of line_above.  Certificates record the abscissa
-    where a node's winner is overtaken; advance() replays them in order so
-    the root stays correct while x moves right.
-    """
-
-    def __init__(self, lines, mode, x0):
-        if mode not in ("min", "max"):
-            raise ValueError(f"bad mode {mode!r}")
-        self.mode = mode
-        self.x = float(x0)
-        self.entries = list(lines)
-        size = 1
-        while size < max(len(self.entries), 1):
-            size *= 2
-        self.size = size
-        self.win = [-1] * (2 * size)
-        self.cert = [_INF] * size
-        self.heap = []
-        self._serial = 0
-        for slot, line in enumerate(self.entries):
-            self.win[size + slot] = slot
-        for node in range(size - 1, 0, -1):
-            self._refresh(node)
-
-    def __len__(self):
-        return len(self.entries)
-
-    @property
-    def root_slot(self):
-        return self.win[1] if self.entries else -1
-
-    @property
-    def root_line(self):
-        slot = self.root_slot
-        return self.entries[slot] if slot >= 0 else None
-
-    def leaves(self):
-        return tuple(self.entries)
-
-    def _better(self, u, v):
-        a, b = self.entries[u], self.entries[v]
-        if self.mode == "min":
-            return u if line_above(b, a, self.x) else v
-        return u if line_above(a, b, self.x) else v
-
-    def _refresh(self, node):
-        l, r = self.win[2 * node], self.win[2 * node + 1]
-        if l < 0 or r < 0:
-            self.win[node] = max(l, r)
-            self.cert[node] = _INF
-            return
-        w = self._better(l, r)
-        self.win[node] = w
-        loser = r if w == l else l
-        a, b = self.entries[w], self.entries[loser]
-        if a.slope == b.slope:
-            self.cert[node] = _INF
-        else:
-            overtakes = a.slope > b.slope if self.mode == "min" else a.slope < b.slope
-            self.cert[node] = cross_x(a, b) if overtakes else _INF
-        if self.cert[node] < _INF:
-            self._serial += 1
-            heapq.heappush(self.heap, (self.cert[node], self._serial, node))
-
-    def _refresh_path(self, node):
-        while node >= 1:
-            self._refresh(node)
-            node //= 2
-
-    def replace(self, slot, line):
-        """Swap the line at a leaf slot and rebuild its path."""
-        self.entries[slot] = line
-        self._refresh_path((self.size + slot) // 2)
-
-    def next_cert(self):
-        while self.heap:
-            cx, _, node = self.heap[0]
-            if self.cert[node] == cx:
-                return cx
-            heapq.heappop(self.heap)
-        return _INF
-
-    def advance(self, x_to):
-        """Process certificates up to x_to; root is then valid just after x_to."""
-        while True:
-            cx = self.next_cert()
-            if cx > x_to:
-                break
-            _, _, node = heapq.heappop(self.heap)
-            self.x = cx
-            self._refresh_path(node)
-        self.x = max(self.x, x_to)
-
-    def recount(self, x):
-        """Direct recompute of the root for the soundness checks."""
-        if not self.entries:
-            return None
-        best = self.entries[0]
-        for line in self.entries[1:]:
-            if self.mode == "min":
-                if line_above(best, line, x):
-                    best = line
-            else:
-                if line_above(line, best, x):
-                    best = line
-        return best
-
-
 @dataclass(frozen=True)
 class SweepEvent:
     x: float
     swaps: tuple  # ((out_owner, in_owner), ...)
 
 
-def build_tournaments(dataset, k, x0, rows=None):
-    """Split the lines at x0 into the top-k min-tree and the rest max-tree.
+def sweep_events(dataset, k, x0, x_end, rows=None):
+    """Yield membership exchanges while the sweep line moves from x0 to x_end.
 
-    rows picks the candidates whose lines the trees hold (all by default);
-    k counts the top-set members among them and may be 0 or all of them,
-    which leaves one tree empty.
+    The exchanges are the vertices of the k-th level of the arrangement, so
+    the walk follows the lowest member line: its next crossing with a member
+    falling below it or a non-member rising above it is the next vertex.
+    There the lines that meet it, with its identical copies, re-rank by
+    (slope, owner) descending, which is line_above's order just to the right;
+    an event is yielded only when a non-member enters, and simultaneous
+    crossings collapse into one event carrying all swapped pairs, each the
+    lowest leaving member paired with the highest entering line.
+
+    rows picks the candidates whose lines take part (all by default); k
+    counts the members among them and may be 0 or all of them.
     """
     if dataset.d != 2:
         raise ValueError("the sweep engine needs two attributes")
@@ -181,46 +75,38 @@ def build_tournaments(dataset, k, x0, rows=None):
     if not 0 <= k <= len(cands):
         raise ValueError(f"k={k} outside 0..{len(cands)}")
     lines = [dual_line(c.cid, c.point) for c in cands]
-
-    def cmp(a, b):
-        return -1 if line_above(b, a, x0) else 1
-
-    lines.sort(key=cmp_to_key(cmp))  # ascending: lowest line first
-    bottom, top = lines[: len(lines) - k], lines[len(lines) - k:]
-    return KineticTournament(top, "min", x0), KineticTournament(bottom, "max", x0)
-
-
-def sweep_events(s1, s2, x_end):
-    """Yield membership exchanges while the sweep line moves to x_end.
-
-    Internal tournament certificates are replayed silently; an event is
-    emitted only when a bottom line overtakes a top line, so every event
-    changes the top-k membership.  Simultaneous crossings collapse into
-    one event carrying all swapped pairs.
-    """
+    lines.sort(key=cmp_to_key(lambda a, b: -1 if line_above(b, a, x0) else 1))
+    n = len(lines)
+    if k in (0, n):
+        return
+    slope = np.array([ln.slope for ln in lines])
+    icpt = np.array([ln.intercept for ln in lines])
+    rank = [(ln.slope, ln.owner) for ln in lines]
+    member = np.zeros(n, dtype=bool)
+    member[n - k:] = True
+    low, x = n - k, x0
     while True:
-        r1, r2 = s1.root_line, s2.root_line
-        bridge = _INF
-        if r1 is not None and r2 is not None and r2.slope > r1.slope:
-            bridge = cross_x(r1, r2)
-        e = min(s1.next_cert(), s2.next_cert(), bridge)
-        if e > x_end or e == _INF:
-            s1.advance(x_end)
-            s2.advance(x_end)
+        s = slope[low]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # cross_x(low, i); a parallel line gives inf, low and its copies nan
+            cx = (icpt - icpt[low]) / (s - slope)
+        ahead = np.where(member, slope < s, slope > s) & (cx > x)
+        x = cx[ahead].min(initial=math.inf)
+        if x > x_end:
             return
-        s1.advance(e)
-        s2.advance(e)
-        swaps = []
-        while True:
-            r1, r2 = s1.root_line, s2.root_line
-            if r1 is None or r2 is None or not line_above(r2, r1, e):
-                break
-            slot1, slot2 = s1.root_slot, s2.root_slot
-            s1.replace(slot1, r2)
-            s2.replace(slot2, r1)
-            swaps.append((r1.owner, r2.owner))
-        if swaps:
-            yield SweepEvent(e, tuple(swaps))
+        group = sorted(
+            np.flatnonzero((cx == x) | np.isnan(cx)).tolist(), key=rank.__getitem__, reverse=True
+        )
+        seats = int(member[group].sum())
+        entering = [i for i in group[:seats] if not member[i]]
+        leaving = [i for i in reversed(group[seats:]) if member[i]]
+        member[entering] = True
+        member[leaving] = False
+        low = group[seats - 1]
+        if entering:
+            yield SweepEvent(float(x), tuple(
+                (lines[o].owner, lines[i].owner) for o, i in zip(leaving, entering)
+            ))
 
 
 def sweep_select(dataset, k, spec, region):
@@ -249,8 +135,7 @@ def sweep_select(dataset, k, spec, region):
     # lines sure in (out of) every top-k over [lb, ub] clear the cutoff by
     # more than TIE_EPS everywhere, so every exchange is between band lines
     band = np.flatnonzero(~(sure_in | sure_out))
-    s1, s2 = build_tournaments(dataset, k - int(sure_in.sum()), lb, band)
-    events = sweep_events(s1, s2, ub)
+    events = sweep_events(dataset, k - int(sure_in.sum()), lb, ub, band)
 
     def positions():
         yield ("point", lb, lb)

@@ -222,6 +222,24 @@ class TestErrorPaths:
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        '{"k": "2", "epsilon": 0.1}',
+        '{"k": 2.5, "epsilon": 0.1}',
+        '{"k": true, "epsilon": 0.1}',
+        '{"k": 2, "epsilon": "0.1"}',
+        '{"k": 2, "epsilon": 0.1, "protected": [{"name": "blue", "lower": 0.1}]}',
+        '{"k": 2, "epsilon": 0.1, "protected": [["blue", 0.1]]}',
+        '[2, 0.1]',
+        '{"epsilon": 0.1}',
+    ])
+    def test_malformed_config_value(self, workdir, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = main(["verify", "--data", workdir["data"], "--config", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_malformed_csv_reports_line(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,attr1,attr2,groups\n0,0.1,nope,\n")

@@ -78,6 +78,36 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="k must be positive"):
             RunConfig(k=k, epsilon=0.1)
 
+    @pytest.mark.parametrize("k", ["2", 2.5, 2.0, True, None])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            RunConfig(k=k, epsilon=0.1)
+
+    def test_numpy_integer_k_accepted(self):
+        assert RunConfig(k=np.int64(3), epsilon=0.1).k == 3
+
+    @pytest.mark.parametrize("eps", ["0.1", None, True, [0.1]])
+    def test_epsilon_must_be_a_number(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be a number"):
+            RunConfig(k=2, epsilon=eps)
+
+    @pytest.mark.parametrize("entry", [
+        {"name": "a", "lower": 0.1},
+        {"lower": 0.1, "upper": 0.5},
+        ("a", 0.1),
+        ("a", 0.1, 0.5, 0.9),
+        ("a", "low", 0.5),
+        7,
+    ])
+    def test_malformed_protected_entry(self, entry):
+        with pytest.raises(ValueError, match="protected entry"):
+            RunConfig(k=2, epsilon=0.1, protected=[entry])
+
+    @pytest.mark.parametrize("payload", ["[2, 0.1]", '["k", "epsilon"]', "7", "null"])
+    def test_from_json_needs_an_object(self, payload):
+        with pytest.raises(ValueError, match="JSON object"):
+            RunConfig.from_json(payload)
+
     @pytest.mark.parametrize("eps", [0.0, -0.1, 1.5])
     def test_bad_epsilon(self, eps):
         with pytest.raises(ValueError, match="epsilon"):
@@ -107,6 +137,10 @@ class TestRunConfig:
         payload = {"k": 2, "epsilon": 0.1, "tolerance": 1e-6}
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.from_json(payload)
+
+    def test_from_json_names_missing_keys(self):
+        with pytest.raises(ValueError, match=r"missing config keys: \['k'\]"):
+            RunConfig.from_json({"epsilon": 0.1})
 
     def test_from_json_accepts_string(self):
         cfg = RunConfig.from_json(json.dumps({"k": 2, "epsilon": 0.3, "seed": 7}))

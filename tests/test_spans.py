@@ -3,7 +3,8 @@
 perfbench/spans.py finds its targets by name at install time, so a source
 change that renames or deletes one of them breaks only the traced benchmark
 run.  This file loads the tracer module by path, without running the
-benchmark, and checks its targets against the program.
+benchmark, checks its targets against the program, and runs one tiny traced
+sweep so that a change to what ``sweep_events`` yields shows here too.
 """
 
 import dataclasses
@@ -14,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from fairtopk import sweep2d
+from fairtopk.core import WeightRegion, WeightVector
 from fairtopk.klevel import TraversalLedger
 from fairtopk.verify import SearchStats
 
@@ -67,3 +70,17 @@ def test_counter_fields_exist(spans):
     assert ledger <= {f.name for f in dataclasses.fields(TraversalLedger)}
     assert backtrack <= {f.name for f in dataclasses.fields(SearchStats)}
     assert ledger and backtrack
+
+
+def test_traced_sweep_counts_its_events(spans, five_dataset, five_spec):
+    # the worked example's answer sits on an exchange at x = 5/9, so the
+    # sweep consumes at least one event before it stops
+    region = WeightRegion.box(WeightVector((0.5, 0.5)), epsilon=0.5)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert sweep2d.sweep_select(five_dataset, 2, five_spec, region) is not None
+    finally:
+        tracer.restore()
+    assert tracer.counters["sweep2d.events"] > 0
+    assert tracer.counters["sweep2d.swaps"] >= tracer.counters["sweep2d.events"]

@@ -1,4 +1,6 @@
-"""Kinetic tournaments and the 2-d sweep engine."""
+"""The k-level walk and the 2-d sweep engine."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,19 +17,8 @@ from fairtopk.core import (
 )
 from fairtopk import sweep2d
 from fairtopk.geometry import band_split, dual_line
-from fairtopk.sweep2d import (
-    KineticTournament,
-    build_tournaments,
-    cross_x,
-    line_above,
-    sweep_events,
-    sweep_select,
-)
+from fairtopk.sweep2d import cross_x, line_above, sweep_events, sweep_select
 from conftest import tied_instance
-
-
-def random_lines(rng, n):
-    return [dual_line(i, tuple(rng.random(2))) for i in range(n)]
 
 
 class TestLinePrimitives:
@@ -49,76 +40,83 @@ class TestLinePrimitives:
         assert not line_above(flat, steep, 0.5)
 
 
-class TestKineticTournament:
-    def test_root_matches_recount_while_advancing(self):
-        rng = np.random.default_rng(19)
-        for trial in range(30):
-            lines = random_lines(rng, int(rng.integers(2, 17)))
-            mode = "min" if trial % 2 else "max"
-            tree = KineticTournament(lines, mode, 0.0)
-            for x in sorted(rng.uniform(0.0, 1.0, size=12)):
-                tree.advance(float(x))
-                want = tree.recount(float(x))
-                got = tree.root_line
-                # equal lines may swap roots; compare values, not owners
-                assert_allclose(
-                    got.slope * x + got.intercept,
-                    want.slope * x + want.intercept,
-                    atol=1e-12,
-                )
+def replay(members, events):
+    """Owners in the top set after applying each event's swaps in turn."""
+    members = set(members)
+    for ev in events:
+        for out, into in ev.swaps:
+            assert out in members and into not in members
+            members = (members - {out}) | {into}
+    return members
 
-    def test_replace_keeps_tree_consistent(self):
-        rng = np.random.default_rng(23)
-        lines = random_lines(rng, 8)
-        tree = KineticTournament(lines, "max", 0.2)
-        for step in range(20):
-            slot = int(rng.integers(0, 8))
-            tree.replace(slot, dual_line(100 + step, tuple(rng.random(2))))
-            x = tree.x
-            want = tree.recount(x)
-            got = tree.root_line
-            assert_allclose(
-                got.slope * x + got.intercept,
-                want.slope * x + want.intercept,
-                atol=1e-12,
-            )
 
-    def test_single_line_tree(self):
-        tree = KineticTournament([dual_line(7, (0.3, 0.4))], "min", 0.0)
-        tree.advance(0.9)
-        assert tree.root_line.owner == 7
+def line_key(cand):
+    """(slope, intercept) of a candidate's dual line: equal for duplicates."""
+    line = dual_line(cand.cid, cand.point)
+    return line.slope, line.intercept
+
+
+def level_oracle(data, k, x0, x_end, rows):
+    """Brute-force k-th level: every pairwise crossing in (x0, x_end] and the
+    top-k line multiset of each cell of the arrangement between them.
+
+    tops[0] is the cell starting at x0 and tops[j] the cell right of
+    crossings[j - 1]; the last cell ends at the first crossing beyond x_end,
+    or at x_end + 1.  Each top is the Counter of line keys among the k best
+    lines by (score desc, id) at the cell's midpoint.
+    """
+    lines = [dual_line(data.candidates[i].cid, data.candidates[i].point) for i in rows]
+    cuts = sorted({
+        cross_x(a, b)
+        for i, a in enumerate(lines)
+        for b in lines[i + 1:]
+        if a.slope != b.slope and cross_x(a, b) > x0
+    })
+    crossings = [c for c in cuts if c <= x_end]
+    bounds = [x0] + crossings + [next((c for c in cuts if c > x_end), x_end + 1.0)]
+    tops = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        mid = 0.5 * (lo + hi)
+        ranked = sorted(lines, key=lambda ln: (-(ln.slope * mid + ln.intercept), ln.owner))
+        tops.append(Counter((ln.slope, ln.intercept) for ln in ranked[:k]))
+    return crossings, tops
+
+
+def check_against_oracle(data, k, x0, x_end, rows):
+    """The walk yields exactly the crossings where the oracle's top set
+    changes, and its swaps keep the top set equal to the oracle's in every
+    cell.  Returns the events."""
+    events = list(sweep_events(data, k, x0, x_end, rows))
+    crossings, tops = level_oracle(data, k, x0, x_end, rows)
+    changes = [c for j, c in enumerate(crossings) if tops[j] != tops[j + 1]]
+    assert [ev.x for ev in events] == changes
+    # of identical lines, line_above ranks the higher owner above
+    by_owner = sorted((data.candidates[i] for i in rows), key=lambda c: -c.cid)
+
+    def owners(top):
+        left, chosen = Counter(top), set()
+        for cand in by_owner:
+            if left[line_key(cand)] > 0:
+                left[line_key(cand)] -= 1
+                chosen.add(cand.cid)
+        return chosen
+
+    members = owners(tops[0])
+    pending = iter(events)
+    for j, top in enumerate(tops):
+        if j and tops[j - 1] != top:
+            members = replay(members, [next(pending)])
+        assert members == owners(top)
+    return events
 
 
 class TestSweepEvents:
     def test_events_on_worked_example(self, five_dataset):
-        s1, s2 = build_tournaments(five_dataset, 2, 0.5)
-        assert {l.owner for l in s1.leaves()} == {1, 4}
-        events = list(sweep_events(s1, s2, 0.62))
+        events = list(sweep_events(five_dataset, 2, 0.5, 0.62))
         assert_allclose([ev.x for ev in events], [5 / 9, 3 / 5], atol=1e-12)
         assert events[0].swaps == ((1, 2),)
         assert events[1].swaps == ((2, 3),)
-        assert {l.owner for l in s1.leaves()} == {3, 4}
-
-    def test_membership_matches_direct_sort_at_stops(self):
-        rng = np.random.default_rng(37)
-        for trial in range(40):
-            data, _ = tied_instance(rng, n=14, dup_rate=0.3)
-            k = int(rng.integers(1, 8))
-            stops = sorted(float(x) for x in rng.uniform(0.0, 1.0, size=6)) + [1.0]
-            s1, s2 = build_tournaments(data, k, 0.0)
-            for stop in stops:
-                for _ in sweep_events(s1, s2, stop):
-                    pass
-                # scores just after the stop decide membership; equal scores
-                # make several top-k sets valid, so compare score multisets
-                probe = min(stop + 1e-7, 1.0)
-                scores = data.points @ np.array([probe, 1.0 - probe])
-                member_scores = sorted(
-                    (float(scores[data._index_of(l.owner)]) for l in s1.leaves()),
-                    reverse=True,
-                )
-                all_scores = sorted((float(s) for s in scores), reverse=True)
-                assert_allclose(member_scores, all_scores[:k], atol=1e-6)
+        assert replay({1, 4}, events) == {3, 4}
 
     def test_simultaneous_crossings_collapse(self):
         # dyadic coordinates: all four lines meet at exactly x = 0.5
@@ -128,13 +126,31 @@ class TestSweepEvents:
             Candidate(2, (0.375, 0.625), set()),
             Candidate(3, (0.25, 0.75), set()),
         ]
-        data = Dataset(cands)
-        s1, s2 = build_tournaments(data, 2, 0.4)
-        assert {l.owner for l in s1.leaves()} == {2, 3}
-        events = list(sweep_events(s1, s2, 0.6))
-        assert len(events) == 1
-        assert_allclose(events[0].x, 0.5, atol=1e-12)
-        assert {l.owner for l in s1.leaves()} == {0, 1}
+        events = list(sweep_events(Dataset(cands), 2, 0.4, 0.6))
+        assert len(events) == 1 and events[0].x == 0.5
+        # lowest leaving member with highest entering line, then the next pair
+        assert events[0].swaps == ((3, 0), (2, 1))
+
+    @pytest.mark.parametrize("family", ["tied", "duplicates", "grid"])
+    def test_matches_level_oracle(self, family):
+        rng = np.random.default_rng({"tied": 37, "duplicates": 41, "grid": 43}[family])
+        events = []
+        for trial in range(150):
+            n = int(rng.integers(2, 30))
+            if family == "grid":
+                data = grid_instance(rng, n)
+            else:
+                dup_rate = 0.3 if family == "tied" else float(rng.uniform(0.6, 0.9))
+                data, _ = tied_instance(rng, n=n, k=1, dup_rate=dup_rate)
+            rows = np.arange(n) if trial % 3 else np.sort(rng.choice(n, (n + 1) // 2, replace=False))
+            k = int(rng.integers(0, len(rows) + 1))
+            x0, x_end = sorted(float(v) for v in rng.integers(0, 9, size=2) / 8.0)
+            if trial % 2:
+                x0, x_end = 0.0, 1.0
+            events += check_against_oracle(data, k, x0, x_end, rows)
+        assert len(events) > 100
+        # concurrent lines exchange several pairs at one abscissa
+        assert family != "grid" or sum(len(ev.swaps) > 1 for ev in events) > 5
 
 
 def brute_positions_best(data, k, spec, region, n_grid=2000):
@@ -257,10 +273,10 @@ def event_trace(data, k, region, band_only):
     lb, ub = float(verts[0, 0]), float(verts[-1, 0])
     if band_only:
         rows = np.flatnonzero(~(sure_in | sure_out))
-        s1, s2 = build_tournaments(data, k - int(sure_in.sum()), lb, rows)
+        events = sweep_events(data, k - int(sure_in.sum()), lb, ub, rows)
     else:
-        s1, s2 = build_tournaments(data, k, lb)
-    return [(ev.x, ev.swaps) for ev in sweep_events(s1, s2, ub)]
+        events = sweep_events(data, k, lb, ub)
+    return [(ev.x, ev.swaps) for ev in events]
 
 
 def separated_instance(k, n):
@@ -274,7 +290,7 @@ def separated_instance(k, n):
 
 
 class TestBandSweep:
-    """Tournaments over the cutoff band replay the all-lines sweep exactly."""
+    """The walk over the cutoff band replays the all-lines sweep exactly."""
 
     def test_band_events_equal_all_line_events(self):
         rng = np.random.default_rng(71)
@@ -296,23 +312,21 @@ class TestBandSweep:
     @pytest.mark.parametrize("n", [3, 4, 12])
     def test_degenerate_bands(self, n):
         # n == k, or k members (crossing each other at x = 0.5) above the rest:
-        # k' = 0 and no non-member in the band, so both trees are empty
+        # k' = 0 and no non-member in the band, so the walk has no lines
         data, k = separated_instance(3, n), 3
         region = WeightRegion.box(WeightVector((0.5, 0.5)), 0.5)
         _, sure_in, sure_out, _, _ = band_split(data.points, k, region)
         band = np.flatnonzero(~(sure_in | sure_out))
         assert int(sure_in.sum()) == k and len(band) == 0
-        s1, s2 = build_tournaments(data, 0, 0.0, band)
-        assert list(sweep_events(s1, s2, 1.0)) == []
+        assert list(sweep_events(data, 0, 0.0, 1.0, band)) == []
         assert event_trace(data, k, region, band_only=False) == []
 
-    def test_band_boundaries_accept_empty_trees(self, five_dataset):
+    def test_band_boundaries_accept_empty_sides(self, five_dataset):
+        # no member, no non-member, or no line at all: nothing can exchange
         for k, rows in ((0, [0, 1]), (2, [0, 1]), (0, [])):
-            s1, s2 = build_tournaments(five_dataset, k, 0.0, rows)
-            assert (len(s1), len(s2)) == (k, len(rows) - k)
-            assert list(sweep_events(s1, s2, 1.0)) == []
+            assert list(sweep_events(five_dataset, k, 0.0, 1.0, rows)) == []
         with pytest.raises(ValueError):
-            build_tournaments(five_dataset, 3, 0.0, [0, 1])
+            list(sweep_events(five_dataset, 3, 0.0, 1.0, [0, 1]))
 
     @pytest.mark.parametrize("objective", [W_DIFFERENCE, UTILITY_LOSS])
     def test_results_equal_all_line_sweep(self, objective, monkeypatch):
@@ -333,7 +347,7 @@ class TestBandSweep:
         assert sum(bool(s[1].any() or s[2].any()) for s in split) > 30
 
         def no_sure_lines(points, k, region):
-            # every line in the band: the tournaments hold all n lines
+            # every line in the band: the walk holds all n lines
             none = np.zeros(len(points), dtype=bool)
             return band_split(points, k, region)[0], none, none, None, None
 

@@ -89,9 +89,7 @@ class RunConfig:
                 name, lo, hi = entry
                 lo, hi = float(lo), float(hi)
             except (KeyError, TypeError, ValueError):
-                raise ValueError(
-                    f"protected entry {entry!r} must give a name, lower and upper bound"
-                ) from None
+                raise ValueError(f"protected entry {entry!r} needs name, lower, upper") from None
             if not (0.0 <= lo <= hi <= 1.0):
                 raise ValueError(f"bounds for {name!r} must satisfy 0 <= lower <= upper <= 1")
             cleaned.append((str(name), lo, hi))

@@ -64,7 +64,10 @@ def sweep_events(dataset, k, x0, x_end, rows=None):
     (slope, owner) descending, which is line_above's order just to the right;
     an event is yielded only when a non-member enters, and simultaneous
     crossings collapse into one event carrying all swapped pairs, each the
-    lowest leaving member paired with the highest entering line.
+    lowest leaving member paired with the highest entering line.  Lines
+    through one vertex whose crossings with the new lowest member round to
+    or below it join the vertex, as line_above counts x >= cross_x crossed.
+    Each step is O(band) numpy work: dense levels over large bands are slow.
 
     rows picks the candidates whose lines take part (all by default); k
     counts the members among them and may be 0 or all of them.
@@ -79,34 +82,36 @@ def sweep_events(dataset, k, x0, x_end, rows=None):
     n = len(lines)
     if k in (0, n):
         return
-    slope = np.array([ln.slope for ln in lines])
-    icpt = np.array([ln.intercept for ln in lines])
+    slope, icpt = np.array([[ln.slope for ln in lines], [ln.intercept for ln in lines]])
     rank = [(ln.slope, ln.owner) for ln in lines]
-    member = np.zeros(n, dtype=bool)
-    member[n - k:] = True
-    low, x = n - k, x0
+    member = np.arange(n) >= n - k
+    low, x, at, group, seats, was = n - k, x0, np.zeros(n, dtype=bool), [], 0, {}
     while True:
         s = slope[low]
         with np.errstate(divide="ignore", invalid="ignore"):
             # cross_x(low, i); a parallel line gives inf, low and its copies nan
             cx = (icpt - icpt[low]) / (s - slope)
-        ahead = np.where(member, slope < s, slope > s) & (cx > x)
-        x = cx[ahead].min(initial=math.inf)
-        if x > x_end:
-            return
-        group = sorted(
-            np.flatnonzero((cx == x) | np.isnan(cx)).tolist(), key=rank.__getitem__, reverse=True
-        )
-        seats = int(member[group].sum())
-        entering = [i for i in group[:seats] if not member[i]]
-        leaving = [i for i in reversed(group[seats:]) if member[i]]
-        member[entering] = True
-        member[leaving] = False
+        toward = np.where(member, slope < s, slope > s)
+        nxt = cx[toward].min(initial=math.inf)
+        if nxt > x:
+            # the vertex at x is settled: report it and move on to the next
+            entering = [lines[i].owner for i in group[:seats] if not was[i]]
+            if entering and x > x0:
+                leaving = [lines[i].owner for i in reversed(group[seats:]) if was[i]]
+                yield SweepEvent(float(x), tuple(zip(leaving, entering)))
+            x = nxt
+            if x > x_end:
+                return
+            at, was = cx == x, {}
+        # low's copies and the lines that cross it at x join the re-rank, also
+        # those whose crossing rounds below x: line_above counts them crossed
+        at |= (toward & (cx <= x)) | np.isnan(cx)
+        group = sorted(np.flatnonzero(at).tolist(), key=rank.__getitem__, reverse=True)
+        prior = member[group].tolist()
+        was = dict(zip(group, prior)) | was  # membership before this vertex
+        seats = sum(prior)
+        member[group] = np.arange(len(group)) < seats
         low = group[seats - 1]
-        if entering:
-            yield SweepEvent(float(x), tuple(
-                (lines[o].owner, lines[i].owner) for o, i in zip(leaving, entering)
-            ))
 
 
 def sweep_select(dataset, k, spec, region):

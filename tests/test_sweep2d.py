@@ -1,6 +1,8 @@
 """The k-level walk and the 2-d sweep engine."""
 
 from collections import Counter
+from fractions import Fraction
+from functools import cmp_to_key
 
 import numpy as np
 import pytest
@@ -110,6 +112,47 @@ def check_against_oracle(data, k, x0, x_end, rows):
     return events
 
 
+def check_against_exact_level(data, k, x0, x_end, rows, tol=1e-9):
+    """check_against_oracle in exact rational arithmetic, for coordinates
+    whose float crossings at one vertex round apart (a 1/10 grid).
+
+    Every event lies within tol of an exact crossing where the top line
+    multiset changes; every such crossing inside (x0 + tol, x_end - tol) has
+    an event within tol; and replaying the swaps from line_above's order at
+    x0 gives the exact top multiset in every cell wider than 2 tol."""
+    lines = [dual_line(data.candidates[i].cid, data.candidates[i].point) for i in rows]
+    exact = {ln.owner: (Fraction(ln.slope), Fraction(ln.intercept)) for ln in lines}
+    cuts = sorted({
+        (b[1] - a[1]) / (a[0] - b[0])
+        for i, a in enumerate(exact.values())
+        for b in list(exact.values())[i + 1:]
+        if a[0] != b[0]
+    })
+    lo, hi = Fraction(x0), Fraction(x_end)
+    bounds = [min([lo, *cuts]) - 1, *cuts, max([hi, *cuts]) + 1]
+
+    def top(x):
+        return Counter(sorted(exact.values(), key=lambda ln: -(ln[0] * x + ln[1]))[:k])
+
+    tops = [top((a + b) / 2) for a, b in zip(bounds, bounds[1:])]
+    changes = [float(c) for j, c in enumerate(cuts) if tops[j] != tops[j + 1]]
+    events = list(sweep_events(data, k, x0, x_end, rows))
+    for ev in events:
+        assert any(abs(ev.x - c) <= tol for c in changes), ev
+    for c in changes:
+        assert not x0 + tol < c < x_end - tol or any(abs(ev.x - c) <= tol for ev in events), c
+    start = sorted(lines, key=cmp_to_key(lambda a, b: -1 if line_above(a, b, x0) else 1))
+    members, pending = {ln.owner for ln in start[:k]}, list(events)
+    for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        a, b = max(a, lo), min(b, hi)
+        if b - a <= 2 * tol:
+            continue
+        while pending and pending[0].x < (a + b) / 2:
+            members = replay(members, [pending.pop(0)])
+        assert Counter(exact[o] for o in members) == tops[j], (float(a), float(b))
+    return events
+
+
 class TestSweepEvents:
     def test_events_on_worked_example(self, five_dataset):
         events = list(sweep_events(five_dataset, 2, 0.5, 0.62))
@@ -131,14 +174,26 @@ class TestSweepEvents:
         # lowest leaving member with highest entering line, then the next pair
         assert events[0].swaps == ((3, 0), (2, 1))
 
-    @pytest.mark.parametrize("family", ["tied", "duplicates", "grid"])
+    def test_concurrent_crossings_that_round_apart(self):
+        # the three lines meet at x = 0.5, but B's crossing with A and A's
+        # with C round to 0.5 - 2**-54 while B's with C is exactly 0.5: once A
+        # is the lowest member, C has already crossed it and must still enter
+        cands = [Candidate(i, p, set()) for i, p in enumerate([(0.1, 0.7), (0.3, 0.5), (0.5, 0.3)])]
+        events = list(sweep_events(Dataset(cands), 2, 0.0, 1.0))
+        assert len(events) == 1 and events[0].swaps == ((0, 2),)
+        assert abs(events[0].x - 0.5) <= 2.0**-53
+
+    @pytest.mark.parametrize("family", ["tied", "duplicates", "grid", "decimal"])
     def test_matches_level_oracle(self, family):
-        rng = np.random.default_rng({"tied": 37, "duplicates": 41, "grid": 43}[family])
+        rng = np.random.default_rng({"tied": 37, "duplicates": 41, "grid": 43, "decimal": 47}[family])
+        check = check_against_exact_level if family == "decimal" else check_against_oracle
         events = []
         for trial in range(150):
             n = int(rng.integers(2, 30))
             if family == "grid":
                 data = grid_instance(rng, n)
+            elif family == "decimal":
+                data = grid_instance(rng, n, steps=10)
             else:
                 dup_rate = 0.3 if family == "tied" else float(rng.uniform(0.6, 0.9))
                 data, _ = tied_instance(rng, n=n, k=1, dup_rate=dup_rate)
@@ -147,7 +202,7 @@ class TestSweepEvents:
             x0, x_end = sorted(float(v) for v in rng.integers(0, 9, size=2) / 8.0)
             if trial % 2:
                 x0, x_end = 0.0, 1.0
-            events += check_against_oracle(data, k, x0, x_end, rows)
+            events += check(data, k, x0, x_end, rows)
         assert len(events) > 100
         # concurrent lines exchange several pairs at one abscissa
         assert family != "grid" or sum(len(ev.swaps) > 1 for ev in events) > 5
@@ -214,6 +269,16 @@ class TestSweepSelect:
             assert_allclose(res.value, 0.0, atol=1e-15)
             assert_allclose(res.weight.as_array(), wo.as_array(), atol=1e-12)
 
+    def test_vertex_whose_crossings_round_apart(self):
+        # only C is protected and it joins the top 2 at x = 0.5, where the
+        # three lines' pairwise crossings round to two different floats
+        pts = [(0.1, 0.7), (0.3, 0.5), (0.5, 0.3)]
+        data = Dataset([Candidate(i, p, {0} if i == 2 else set()) for i, p in enumerate(pts)])
+        region = WeightRegion.box(WeightVector((0.45, 0.55)), 0.45)
+        res = sweep_select(data, 2, FairnessSpec(lower=[1], upper=[2]), region)
+        assert_allclose(res.weight[0], 0.5, atol=1e-12)
+        assert_allclose(res.value, 0.1, atol=1e-12)
+
     def test_empty_region_returns_none(self, five_dataset, five_spec):
         wo = WeightVector((0.5, 0.5))
         region = WeightRegion.box(wo, epsilon=0.1, extra=[(1.0, 0.0, -0.9)])
@@ -257,9 +322,9 @@ class TestSweepSelect:
         assert solved > 25
 
 
-def grid_instance(rng, n, n_protected=2):
-    """Points on a 1/8 grid: duplicates, equal slopes, concurrent crossings."""
-    pts = rng.integers(0, 9, size=(n, 2)) / 8.0
+def grid_instance(rng, n, n_protected=2, steps=8):
+    """Points on a 1/steps grid: duplicates, equal slopes, concurrent crossings."""
+    pts = rng.integers(0, steps + 1, size=(n, 2)) / steps
     cands = [
         Candidate(i, tuple(p), {j for j in range(n_protected) if rng.random() < 0.45})
         for i, p in enumerate(pts)

@@ -14,20 +14,15 @@ import time
 
 import numpy as np
 
-from .core import (
-    BudgetExceededError, FairResult, FairTopkError, FairnessSpec, LpStallError, WeightVector,
-    group_counts,
-)
+from .core import BudgetExceededError, FairResult, FairTopkError, LpStallError, WeightVector
 from .generators import random_ov, random_setcover, random_tov
 from .pipeline import (
     RunConfig,
     bench,
     brute_select_2d,
-    build_region,
     kskyband,
     load_csv,
     normalize,
-    reorder_protected,
     result_json,
     select,
     write_bench_csv,
@@ -50,46 +45,25 @@ def _emit(payload, out):
         print(text)
 
 
-def _load_for(config, data_path):
-    names = [name for name, _, _ in config.protected]
-    return load_csv(data_path, protected=names)
-
-
 def _weight_arg(raw, config, d):
     if raw:
         return WeightVector([float(v) for v in raw.split(",")])
-    if config.wo is not None:
-        return WeightVector(config.wo)
-    return WeightVector([1.0 / d] * d)
-
-
-def _spec_for(config):
-    return FairnessSpec.from_fractions(
-        [(lo, hi) for _, lo, hi in config.protected], config.k
-    )
+    return config.region(d).reference
 
 
 def cmd_verify(args):
     config = _read_config(args.config)
-    data = _load_for(config, args.data)
+    data = load_csv(args.data, protected=config.names)
     w = _weight_arg(args.weight, config, data.d)
-    spec = _spec_for(config)
-    fair = verify_fair(data, config.k, spec, w)
-    witness = (
-        fair_topk_witness(data, config.k, spec, w, config.objective) if fair else None
-    )
-    names = [name for name, _, _ in config.protected]
-    counts = {}
-    if witness:
-        raw = group_counts(data, witness, len(names))
-        counts = {name: raw[i] for i, name in enumerate(names)}
+    fair = verify_fair(data, config.k, config.spec, w)
+    witness = fair_topk_witness(data, config.k, config.spec, w, config.objective) if fair else None
     _emit(
         {
             "fair": bool(fair),
             "weight": list(w.weights),
             "k": config.k,
             "topk_ids": sorted(witness) if witness else [],
-            "group_counts": counts,
+            "group_counts": config.group_counts(data, witness) if witness else {},
         },
         args.out,
     )
@@ -98,7 +72,7 @@ def cmd_verify(args):
 
 def cmd_select(args):
     config = _read_config(args.config)
-    data = _load_for(config, args.data)
+    data = load_csv(args.data, protected=config.names)
     t0 = time.perf_counter()
     try:
         result = select(data, config)
@@ -201,15 +175,11 @@ def cmd_bench(args):
 
 def cmd_oracle(args):
     config = _read_config(args.config)
-    data = _load_for(config, args.data)
+    data = load_csv(args.data, protected=config.names)
     w = _weight_arg(args.weight, config, data.d)
-    spec = _spec_for(config)
-    payload = {"fair": bool(naive_verify_oracle(data, config.k, spec, w))}
+    payload = {"fair": bool(naive_verify_oracle(data, config.k, config.spec, w))}
     if data.d == 2:
-        region = build_region(data, config)
-        names = [name for name, _, _ in config.protected]
-        ordered = reorder_protected(data, names) if names else data
-        result = brute_select_2d(ordered, config.k, spec, region)
+        result = brute_select_2d(data, config.k, config.spec, config.region(2))
         payload["brute"] = result_json(data, config, result, 0.0)
     _emit(payload, args.out)
     return 0

@@ -16,11 +16,12 @@ import math
 import numbers
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .core import (
+    BudgetExceededError,
     Candidate,
     DataFormatError,
     Dataset,
@@ -30,7 +31,6 @@ from .core import (
     W_DIFFERENCE,
     WeightRegion,
     WeightVector,
-    group_counts,
 )
 from .geometry import region_interval
 from .klevel import traverse
@@ -38,23 +38,30 @@ from .milp import build_milp, solve_milp
 from .stability import stable_weight
 from .sweep2d import sweep_select
 from .tolerances import KEY_EPS, TIE_EPS
-from .verify import (
-    fair_topk_witness,
-    finish_result,
-    max_fair_utility,
-    reference_topk_utility,
-    verify_fair,
-)
-from .core import BudgetExceededError, utility_loss, w_difference
+from .verify import finish_result, max_fair_utility, verify_fair
 
 ENGINES = ("auto", "sweep2d", "klevel", "milp")
 KLEVEL_BASE_K = 120.0
 
 
+def _is(value, kind):
+    """isinstance, but a bool passes only as a bool: json gives true for a mistyped 1."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _floats(values, key):
+    """A list or tuple of numbers as floats, or a ValueError naming the config key."""
+    if not (isinstance(values, (list, tuple, np.ndarray))
+            and all(_is(v, numbers.Real) for v in values)):
+        raise ValueError(f"{key} must be a sequence of numbers, got {values!r}")
+    return tuple(float(v) for v in values)
+
+
 @dataclass
 class RunConfig:
-    """Validated run settings; protected entries are (name, lower, upper)
-    fraction triples."""
+    """Validated run settings, and the one place that turns them into the
+    question: protected entries are (name, lower, upper) fraction triples,
+    read back as group names, count bounds and a weight region."""
 
     k: int
     epsilon: float
@@ -68,13 +75,16 @@ class RunConfig:
     stable: bool = False
 
     def __post_init__(self):
-        # bools are Integral, and json gives true for a mistyped 1
-        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
-            raise ValueError(f"k must be an integer, got {self.k!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
-        if isinstance(self.epsilon, bool) or not isinstance(self.epsilon, numbers.Real):
-            raise ValueError(f"epsilon must be a number, got {self.epsilon!r}")
+        for key, kind, noun in (
+            ("k", numbers.Integral, "an integer"), ("epsilon", numbers.Real, "a number"),
+            ("seed", numbers.Integral, "an integer"), ("workers", numbers.Integral, "an integer"),
+            ("stable", bool, "true or false"),
+        ):
+            if not _is(getattr(self, key), kind):
+                raise ValueError(f"{key} must be {noun}, got {getattr(self, key)!r}")
+        for key in ("k", "workers"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
         if self.objective not in OBJECTIVES:
@@ -95,10 +105,35 @@ class RunConfig:
             cleaned.append((str(name), lo, hi))
         self.protected = tuple(cleaned)
         if self.wo is not None:
-            self.wo = tuple(float(v) for v in self.wo)
-        self.extra_halfspaces = tuple(
-            tuple(float(v) for v in row) for row in self.extra_halfspaces
-        )
+            self.wo = _floats(self.wo, "wo")
+        rows = self.extra_halfspaces
+        if not isinstance(rows, (list, tuple, np.ndarray)):
+            raise ValueError(f"extra_halfspaces must be a sequence of rows, got {rows!r}")
+        self.extra_halfspaces = tuple(_floats(row, "extra_halfspaces row") for row in rows)
+
+    @property
+    def names(self):
+        """Protected group names, in the order that gives them ids 0..n_p-1."""
+        return tuple(name for name, _, _ in self.protected)
+
+    @property
+    def spec(self):
+        """Count bounds of the protected groups at this k."""
+        return FairnessSpec.from_fractions([(lo, hi) for _, lo, hi in self.protected], self.k)
+
+    def region(self, d):
+        """The epsilon box around the reference weight, uniform unless wo is set."""
+        wo = self.wo if self.wo is not None else [1.0 / d] * d
+        if len(wo) != d:
+            raise ValueError(f"wo has {len(wo)} components, data has {d}")
+        extra = self.extra_halfspaces
+        return WeightRegion.box(WeightVector(wo), self.epsilon, self.objective, extra=extra)
+
+    def group_counts(self, dataset, ids):
+        """Members of each protected group among the candidate ids, by name."""
+        members = [dataset.by_id(i).groups for i in ids]
+        gids = {name: dataset.group_names.index(name) for name in self.names}
+        return {name: sum(g in m for m in members) for name, g in gids.items()}
 
     @classmethod
     def from_json(cls, payload):
@@ -106,11 +141,7 @@ class RunConfig:
             payload = json.loads(payload)
         if not isinstance(payload, dict):
             raise ValueError(f"config must be a JSON object, got {type(payload).__name__}")
-        known = {
-            "k", "epsilon", "objective", "engine", "protected", "wo",
-            "extra_halfspaces", "seed", "workers", "stable",
-        }
-        unknown = set(payload) - known
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         missing = {"k", "epsilon"} - set(payload)
@@ -151,11 +182,6 @@ def load_csv(path, protected=()):
                 raise DataFormatError(
                     f"expected {d + 2} fields, found {len(row)}", line=lineno
                 )
-            try:
-                cid = int(row[0])
-                point = tuple(float(v) for v in row[1:-1])
-            except ValueError as exc:
-                raise DataFormatError(str(exc), line=lineno) from None
             groups = set()
             cell = row[-1].strip()
             if cell:
@@ -170,7 +196,11 @@ def load_csv(path, protected=()):
                     seen_names.add(name)
             groups = frozenset(groups)
             groups = group_sets.setdefault(groups, groups)
-            cands.append(Candidate(cid=cid, point=point, groups=groups))
+            try:
+                point = tuple(float(v) for v in row[1:-1])
+                cands.append(Candidate(cid=int(row[0]), point=point, groups=groups))
+            except (ValueError, DataFormatError) as exc:
+                raise DataFormatError(str(exc), line=lineno) from None
     missing = [name for name in protected if name not in seen_names]
     if missing:
         raise DataFormatError(f"protected groups never appear in the data: {missing}")
@@ -300,16 +330,6 @@ def choose_engine(d, k, objective, engine="auto"):
     return "klevel" if k <= threshold else "milp"
 
 
-def build_region(dataset, config):
-    wo = config.wo if config.wo is not None else [1.0 / dataset.d] * dataset.d
-    if len(wo) != dataset.d:
-        raise ValueError(f"wo has {len(wo)} components, data has {dataset.d}")
-    return WeightRegion.box(
-        WeightVector(wo), config.epsilon, config.objective,
-        extra=config.extra_halfspaces,
-    )
-
-
 def run_engine(engine, data, k, spec, region, workers=1):
     """Answer with one resolved engine.
 
@@ -336,14 +356,10 @@ def select(dataset, config):
     box.  The stability post-process replaces nothing: it adds the
     centered weight and margin on top of the engine's answer.
     """
-    names = [name for name, _, _ in config.protected]
-    data = reorder_protected(dataset, names) if names else dataset
-    spec = FairnessSpec.from_fractions(
-        [(lo, hi) for _, lo, hi in config.protected], config.k
-    )
-    region = build_region(data, config)
+    data = reorder_protected(dataset, config.names) if config.names else dataset
+    region = config.region(data.d)
     engine = choose_engine(data.d, config.k, config.objective, config.engine)
-    result = run_engine(engine, data, config.k, spec, region, config.workers)
+    result = run_engine(engine, data, config.k, config.spec, region, config.workers)
     if result is None:
         return None
     if config.stable:
@@ -364,7 +380,6 @@ def select(dataset, config):
 
 def result_json(dataset, config, result, elapsed_ms):
     """Result schema shared by the CLI and the benchmark harness."""
-    names = [name for name, _, _ in config.protected]
     payload = {
         "fair": result is not None,
         "weight": list(result.weight.weights) if result else None,
@@ -373,14 +388,10 @@ def result_json(dataset, config, result, elapsed_ms):
             dataset.d, config.k, config.objective, config.engine
         ),
         "topk_ids": list(result.subset) if result else [],
-        "group_counts": {},
+        "group_counts": config.group_counts(dataset, result.subset) if result else {},
         "elapsed_ms": elapsed_ms,
         "seed": config.seed,
     }
-    if result is not None and names:
-        data = reorder_protected(dataset, names)
-        counts = group_counts(data, result.subset, len(names))
-        payload["group_counts"] = {name: counts[i] for i, name in enumerate(names)}
     if result is not None and result.stable_weight is not None:
         payload["stable_weight"] = list(result.stable_weight.weights)
         payload["margin"] = result.margin
@@ -391,7 +402,7 @@ def result_json(dataset, config, result, elapsed_ms):
 # 2-D brute-force oracle
 # ----------------------------------------------------------------------
 
-def brute_select_2d(dataset, k, spec, region, wo=None, objective=None):
+def brute_select_2d(dataset, k, spec, region):
     """Ground-truth 2-D synthesis by sheer position enumeration.
 
     Positions: region endpoints, the reference abscissa, every pairwise
@@ -402,8 +413,7 @@ def brute_select_2d(dataset, k, spec, region, wo=None, objective=None):
     if dataset.d != 2:
         raise ValueError("brute_select_2d needs exactly two attributes")
     spec.validate(k)
-    wo = region.reference if wo is None else WeightVector(wo)
-    objective = region.objective if objective is None else objective
+    wo, objective = region.reference, region.objective
     bounds = region_interval(region)
     if bounds is None:
         return None
@@ -431,7 +441,6 @@ def brute_select_2d(dataset, k, spec, region, wo=None, objective=None):
             rep = min(max(wo_x, a), b) if objective == W_DIFFERENCE else 0.5 * (a + b)
             probes.append((0.5 * (a + b), rep))
 
-    uref = reference_topk_utility(dataset, k, wo) if objective == UTILITY_LOSS else None
     best = None
     for probe, rep in probes:
         w_probe = WeightVector((probe, 1.0 - probe))
@@ -448,32 +457,9 @@ def brute_select_2d(dataset, k, spec, region, wo=None, objective=None):
             best = (key, rep, probe)
     if best is None:
         return None
-    key, rep, probe = best
-    weight = WeightVector((rep, 1.0 - rep))
-    witness = fair_topk_witness(dataset, k, spec, weight, objective, wo=wo)
-    if witness is None:
-        rep = probe
-        weight = WeightVector((rep, 1.0 - rep))
-        witness = fair_topk_witness(dataset, k, spec, weight, objective, wo=wo)
-        if witness is None:
-            return None
-    from .core import FairResult
-
-    if objective == W_DIFFERENCE:
-        value = w_difference(weight, wo)
-        util = None
-    else:
-        hit = max_fair_utility(dataset, k, spec, weight, wo)
-        witness, util = hit
-        value = utility_loss(util, uref)
-    return FairResult(
-        weight=weight,
-        objective=objective,
-        value=value,
-        subset=tuple(sorted(witness)),
-        engine="brute2d",
-        utility=util,
-    )
+    _, rep, probe = best
+    weights = [WeightVector((x, 1.0 - x)) for x in (rep, probe)]
+    return finish_result(dataset, k, spec, region, weights, "brute2d")
 
 
 # ----------------------------------------------------------------------

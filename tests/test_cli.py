@@ -157,7 +157,7 @@ class TestGenCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary["kind"] == "setcover" and summary["k"] >= 1
         cfg = RunConfig.from_json(read_json(config_path))
-        data = load_csv(data_path, protected=[n for n, _, _ in cfg.protected])
+        data = load_csv(data_path, protected=cfg.names)
         assert len(data) == summary["n"]
 
     @pytest.mark.parametrize("kind,flags", [
@@ -229,6 +229,7 @@ class TestErrorPaths:
         '{"k": 2, "epsilon": "0.1"}',
         '{"k": 2, "epsilon": 0.1, "protected": [{"name": "blue", "lower": 0.1}]}',
         '{"k": 2, "epsilon": 0.1, "protected": [["blue", 0.1]]}',
+        '{"k": 2, "epsilon": 0.1, "wo": 5}',
         '[2, 0.1]',
         '{"epsilon": 0.1}',
     ])

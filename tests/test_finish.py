@@ -86,3 +86,10 @@ def test_a_weight_outside_the_region_is_passed_over(objective, five_dataset, fiv
     res = finish_result(five_dataset, 2, five_spec, region, [outside, inside], "klevel")
     assert res.weight.weights == inside.weights
     assert_recomputed(five_dataset, 2, five_spec, region, res)
+    # the reference lies in the box, but its top 2 is (4 and one of 0, 1),
+    # no protected candidate: an unfair weight is passed over too
+    unfair = WeightVector((0.5, 0.5))
+    assert region.contains(unfair)
+    res = finish_result(five_dataset, 2, five_spec, region, [unfair, inside], "brute2d")
+    assert res.weight.weights == inside.weights and res.engine == "brute2d"
+    assert_recomputed(five_dataset, 2, five_spec, region, res)

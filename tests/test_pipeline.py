@@ -25,7 +25,6 @@ from fairtopk.pipeline import (
     RunConfig,
     bench,
     brute_select_2d,
-    build_region,
     choose_engine,
     kskyband,
     load_csv,
@@ -150,6 +149,39 @@ class TestRunConfig:
         cfg = RunConfig(k=2, epsilon=0.1, wo=[1, 0])
         assert cfg.wo == (1.0, 0.0)
 
+    @pytest.mark.parametrize("key, value", [
+        ("wo", 5),
+        ("wo", "0.5,0.5"),
+        ("wo", [0.5, "0.5"]),
+        ("wo", [True, False]),
+        ("extra_halfspaces", 5),
+        ("extra_halfspaces", [5]),
+        ("extra_halfspaces", [[1.0, 0.0, "0.6"]]),
+        ("stable", "no"),
+        ("stable", 1),
+        ("seed", "7"),
+        ("seed", 1.5),
+        ("seed", True),
+        ("workers", "2"),
+        ("workers", 2.0),
+        ("workers", True),
+        ("workers", 0),
+    ])
+    def test_every_field_is_validated(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            RunConfig(k=2, epsilon=0.1, **{key: value})
+
+    def test_numpy_values_accepted(self):
+        cfg = RunConfig(k=2, epsilon=0.1, wo=np.array([0.5, 0.5]), seed=np.int64(3),
+                        extra_halfspaces=[np.array([1.0, 0.0, 0.6])], workers=2, stable=True)
+        assert cfg.wo == (0.5, 0.5) and cfg.extra_halfspaces == ((1.0, 0.0, 0.6),)
+
+    def test_names_and_spec_follow_the_protected_entries(self):
+        cfg = RunConfig(k=4, epsilon=0.1, protected=[("a", 0.25, 0.5), ("b", 0.0, 1.0)])
+        assert cfg.names == ("a", "b")
+        assert cfg.spec == FairnessSpec(lower=[1, 0], upper=[2, 4])
+        assert RunConfig(k=4, epsilon=0.1).spec.n_protected == 0
+
 
 class TestCsvRoundTrip:
     def test_bit_exact_roundtrip(self, tmp_path):
@@ -222,6 +254,10 @@ class TestCsvRoundTrip:
         path.write_text("id,attr1,attr2,groups\nzero,0.1,0.2,\n")
         with pytest.raises(DataFormatError, match="line 2"):
             load_csv(path)
+        path.write_text("id,attr1,attr2,groups\n2,nan,0.3,\n")
+        with pytest.raises(DataFormatError, match="line 2: .*non-finite") as exc:
+            load_csv(path)
+        assert exc.value.line == 2
 
     def test_empty_group_name_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -367,20 +403,20 @@ class TestChooseEngine:
 class TestBuildRegion:
     def test_default_reference_is_uniform(self, five_dataset):
         cfg = five_config()
-        region = build_region(five_dataset, cfg)
+        region = cfg.region(five_dataset.d)
         assert region.reference.weights == (0.5, 0.5)
         assert len(region.halfspaces) == 4
         assert region.objective == W_DIFFERENCE
 
     def test_explicit_reference_and_extra_rows(self, five_dataset):
         cfg = five_config(wo=(0.6, 0.4), extra_halfspaces=((-1.0, 0.0, 0.58),))
-        region = build_region(five_dataset, cfg)
+        region = cfg.region(five_dataset.d)
         assert region.reference.weights == (0.6, 0.4)
         assert region.halfspaces[-1] == ((-1.0, 0.0), 0.58)
 
     def test_dimension_mismatch(self, five_dataset):
         with pytest.raises(ValueError, match="components"):
-            build_region(five_dataset, five_config(wo=(0.3, 0.3, 0.4)))
+            five_config(wo=(0.3, 0.3, 0.4)).region(five_dataset.d)
 
 
 class TestSelectDriver:
@@ -481,6 +517,17 @@ class TestResultJson:
         assert payload["topk_ids"] == [] and payload["group_counts"] == {}
         assert payload["engine"] == "sweep2d"
         assert "stable_weight" not in payload
+
+    def test_counts_by_name_whatever_the_group_order(self):
+        # blue is group 1 here; select reorders its own copy, result_json
+        # counts in the dataset as given
+        cands = [
+            Candidate(i, p, {1} if i in (2, 3) else {0}) for i, p in enumerate(FIVE_POINTS)
+        ]
+        data = Dataset(cands, group_names=("red", "blue"))
+        cfg = five_config()
+        payload = result_json(data, cfg, select(data, cfg), 0.0)
+        assert payload["group_counts"] == {"blue": 1}
 
     def test_stable_fields_appear(self, tmp_path):
         data = load_csv(write_five_csv(tmp_path / "t.csv"), protected=("blue",))

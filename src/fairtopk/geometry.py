@@ -240,11 +240,15 @@ def _seidel_rec(rows, c, lo, hi):
 def simplex_lp(problem, pivot_budget=20000):
     """Two-phase tableau simplex over split free variables.
 
-    Entering columns follow the most-negative reduced cost until a run of
-    degenerate pivots, after which Bland's least-index rule takes over so
-    the method cannot cycle.  Exceeding the pivot budget raises
-    LpStallError rather than returning a wrong answer, and so does a
-    phase-1 basis that drift has made singular.
+    Rows with a negative right-hand side, and ">=" rows with a zero one,
+    are negated first.  A row whose slack then has coefficient +1 starts
+    with that slack in the basis.  Only "=" rows, ">=" rows with b > 0
+    and "<=" rows with b < 0 get an artificial column, and phase 1 runs
+    only when there is one.  Entering columns follow the most-negative
+    reduced cost until a run of degenerate pivots, after which Bland's
+    least-index rule takes over so the method cannot cycle.  Exceeding
+    the pivot budget raises LpStallError rather than returning a wrong
+    answer, and so does a phase-1 basis that drift has made singular.
     """
     sign = 1.0 if problem.direction == "min" else -1.0
     n = problem.nvars
@@ -256,67 +260,71 @@ def simplex_lp(problem, pivot_budget=20000):
         return LpOutcome("optimal", np.zeros(n), 0.0)
 
     # columns: x+ (n), x- (n), slack/surplus (one per inequality), artificials
-    slack_rows = [i for i, (_, rel, _) in enumerate(problem.rows) if rel != "="]
-    n_slack = len(slack_rows)
-    slack_col = {r: 2 * n + j for j, r in enumerate(slack_rows)}
-    n_cols = 2 * n + n_slack
-    A = np.zeros((m, n_cols + m))
-    b = np.zeros(m)
-    for i, (a, rel, rhs) in enumerate(problem.rows):
-        row = np.concatenate([a, -a, np.zeros(n_slack + m)])
-        if rel == "<=":
-            row[slack_col[i]] = 1.0
-        elif rel == ">=":
-            row[slack_col[i]] = -1.0
-        if rhs < 0:
-            row = -row
-            rhs = -rhs
-        row[n_cols + i] = 1.0
-        A[i] = row
-        b[i] = rhs
+    rel = np.array([r for _, r, _ in problem.rows])
+    b = np.array([rhs for _, _, rhs in problem.rows])
+    slack_rows = np.nonzero(rel != "=")[0]
+    slack_cols = 2 * n + np.arange(len(slack_rows))
+    n_cols = 2 * n + len(slack_rows)
+    A = np.zeros((m, n_cols))
+    A[:, :n] = [a for a, _, _ in problem.rows]
+    A[:, n:2 * n] = -A[:, :n]
+    A[slack_rows, slack_cols] = np.where(rel[slack_rows] == "<=", 1.0, -1.0)
+    # negate the rows with b < 0, and the ">=" rows with b = 0: a slack that
+    # then reads +1 starts basic, and only the other rows get an artificial
+    flip = (b < 0) | ((b == 0) & (rel == ">="))
+    A[flip] *= -1.0
+    b[flip] *= -1.0
+    basis = np.full(m, -1)
+    plus = A[slack_rows, slack_cols] > 0
+    basis[slack_rows[plus]] = slack_cols[plus]
+    art_rows = np.nonzero(basis < 0)[0]
+    art_cols = n_cols + np.arange(len(art_rows))
+    basis[art_rows] = art_cols
+    basis = basis.tolist()
+    used = 0
+    if len(art_rows):
+        A = np.hstack([A, np.zeros((m, len(art_rows)))])
+        A[art_rows, art_cols] = 1.0
+        A0, b0 = A.copy(), b.copy()
+        # phase 1: drive the artificial total to zero
+        cost1 = np.zeros(A.shape[1])
+        cost1[n_cols:] = 1.0
+        _, used = _simplex_iterate(A, b, basis, cost1, pivot_budget, phase=1)
+        if float(cost1[basis] @ b) > PHASE_ONE_GAP:
+            return LpOutcome("infeasible")
+        # pivoting drifts the tableau; re-derive it from the rows at the final basis
+        try:
+            A = np.linalg.solve(A0[:, basis], A0)
+            b = np.linalg.solve(A0[:, basis], b0)
+        except np.linalg.LinAlgError:
+            raise LpStallError("the phase-1 basis drifted into a singular matrix") from None
+        if float(cost1[basis] @ b) > PHASE_ONE_TOL:
+            return LpOutcome("infeasible")
+        # pivot artificials out of the basis where possible, drop dead rows
+        rows_keep = []
+        for i in range(m):
+            if basis[i] >= n_cols:
+                piv = None
+                for j in range(n_cols):
+                    if abs(A[i, j]) > PIVOT_TOL:
+                        piv = j
+                        break
+                if piv is None:
+                    continue  # redundant row
+                _pivot(A, b, i, piv)
+                basis[i] = piv
+            rows_keep.append(i)
+        A = A[rows_keep][:, :n_cols]
+        b = b[rows_keep]
+        basis = [basis[i] for i in rows_keep]
 
-    basis = [n_cols + i for i in range(m)]
-    A0, b0 = A.copy(), b.copy()
-    # phase 1: drive the artificial total to zero
-    cost1 = np.zeros(n_cols + m)
-    cost1[n_cols:] = 1.0
-    _, used = _simplex_iterate(A, b, basis, cost1, pivot_budget, phase=1)
-    if float(cost1[basis] @ b) > PHASE_ONE_GAP:
-        return LpOutcome("infeasible")
-    # pivoting drifts the tableau; re-derive it from the rows at the final basis
-    try:
-        A = np.linalg.solve(A0[:, basis], A0)
-        b = np.linalg.solve(A0[:, basis], b0)
-    except np.linalg.LinAlgError:
-        raise LpStallError("the phase-1 basis drifted into a singular matrix") from None
-    if float(cost1[basis] @ b) > PHASE_ONE_TOL:
-        return LpOutcome("infeasible")
-    # pivot artificials out of the basis where possible, drop dead rows
-    rows_keep = []
-    for i in range(m):
-        if basis[i] >= n_cols:
-            piv = None
-            for j in range(n_cols):
-                if abs(A[i, j]) > PIVOT_TOL:
-                    piv = j
-                    break
-            if piv is None:
-                continue  # redundant row
-            _pivot(A, b, i, piv)
-            basis[i] = piv
-        rows_keep.append(i)
-    A = A[rows_keep][:, :n_cols]
-    b = b[rows_keep]
-    basis = [basis[i] for i in rows_keep]
-
-    cost2 = np.concatenate([sign * problem.c, -sign * problem.c, np.zeros(n_slack)])
+    cost2 = np.concatenate([sign * problem.c, -sign * problem.c, np.zeros(len(slack_rows))])
     try:
         (A, b), _ = _simplex_iterate(A, b, basis, cost2, pivot_budget - used, phase=2)
     except _Unbounded:
         return LpOutcome("unbounded")
     x_split = np.zeros(n_cols)
-    for i, col in enumerate(basis):
-        x_split[col] = b[i]
+    x_split[basis] = b
     x = x_split[:n] - x_split[n:2 * n]
     return LpOutcome("optimal", x, float(problem.c @ x))
 
@@ -329,13 +337,14 @@ def _pivot(A, b, row, col):
     piv = A[row, col]
     A[row] /= piv
     b[row] /= piv
-    for i in range(len(b)):
-        if i != row and abs(A[i, col]) > ZERO:
-            f = A[i, col]
-            A[i] -= f * A[row]
-            b[i] -= f * b[row]
-            if b[i] < 0 and b[i] > -RHS_SNAP:
-                b[i] = 0.0
+    f = A[:, col]
+    hit = np.abs(f) > ZERO
+    hit[row] = False
+    f = f[hit]
+    A[hit] -= np.outer(f, A[row])
+    bh = b[hit] - f * b[row]
+    bh[(bh < 0) & (bh > -RHS_SNAP)] = 0.0
+    b[hit] = bh
 
 
 def _simplex_iterate(A, b, basis, cost, budget, phase):
@@ -508,7 +517,7 @@ class CutoffBand:
     """
 
     def __init__(self, dataset, k, region):
-        self.dataset, self.region, self.d = dataset, region, dataset.d
+        self.dataset, self.k, self.region, self.d = dataset, k, region, dataset.d
         points = dataset.points
         split = band_split(points, k, region)
         self.verts, self.sure_in, self.sure_out, self.lambda_hi, self.lambda_lo = split
@@ -544,6 +553,20 @@ class CutoffBand:
         for c, s in enumerate(seats):
             out += sorted(ids[self.rows[self.cls == c]].tolist())[:s]
         return tuple(sorted(out))
+
+
+_last_band = None
+
+
+def cutoff_band(dataset, k, region):
+    """CutoffBand(dataset, k, region), or the last band this built when that
+    was for the same dataset and region objects and the same k: an engine
+    and the stable_weight after it share one band."""
+    global _last_band
+    band = _last_band
+    if band is None or band.dataset is not dataset or band.region is not region or band.k != k:
+        band = _last_band = CutoffBand(dataset, k, region)
+    return band
 
 
 class TopkCell:

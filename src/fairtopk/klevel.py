@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BudgetExceededError, UTILITY_LOSS
-from .geometry import CutoffBand, TopkCell, lift_weight
+from .geometry import CutoffBand, TopkCell, cutoff_band, lift_weight
 from .verify import decompose_topk, finish_result, max_fair_utility, verify_fair
 
 DEFAULT_SWAP_BUDGET = 5_000_000
@@ -96,7 +96,7 @@ def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGE
         )
     if ledger is None:
         ledger = TraversalLedger()
-    band = CutoffBand(dataset, k, region)
+    band = cutoff_band(dataset, k, region)
     if not len(band.verts):
         return None
     objective = region.objective

@@ -33,7 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import BudgetExceededError, W_DIFFERENCE
-from .geometry import CutoffBand, LpProblem, TopkCell, l1_envelope_rows, simplex_lp
+from .geometry import (
+    CutoffBand, LpProblem, TopkCell, cutoff_band, l1_envelope_rows, simplex_lp,
+)
 from .tolerances import CUT_TOL, INT_TOL, TIE_EPS
 from .verify import finish_result
 
@@ -78,7 +80,7 @@ def build_milp(dataset, k, spec, region):
     pts = dataset.points
     if pts.min() < -TIE_EPS or pts.max() > 1.0 + TIE_EPS:
         raise ValueError("attributes must lie in [0,1] for the milp engine")
-    band = CutoffBand(dataset, k, region)
+    band = cutoff_band(dataset, k, region)
     d, m = dataset.d, len(band.rows)
     wo = region.reference
     wdiff = region.objective == W_DIFFERENCE

@@ -97,12 +97,14 @@ class RunConfig:
                 if isinstance(entry, dict):
                     entry = entry["name"], entry["lower"], entry["upper"]
                 name, lo, hi = entry
-                lo, hi = float(lo), float(hi)
+                name, lo, hi = str(name), float(lo), float(hi)
             except (KeyError, TypeError, ValueError):
                 raise ValueError(f"protected entry {entry!r} needs name, lower, upper") from None
             if not (0.0 <= lo <= hi <= 1.0):
                 raise ValueError(f"bounds for {name!r} must satisfy 0 <= lower <= upper <= 1")
-            cleaned.append((str(name), lo, hi))
+            if name in (seen for seen, _, _ in cleaned):
+                raise ValueError(f"protected group {name!r} is named twice")
+            cleaned.append((name, lo, hi))
         self.protected = tuple(cleaned)
         if self.wo is not None:
             self.wo = _floats(self.wo, "wo")

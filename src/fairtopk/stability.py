@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import WeightVector
-from .geometry import CutoffBand, TopkCell
+from .geometry import TopkCell, cutoff_band
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,15 @@ class StableResult:
 def stable_weight(dataset, k, subset, region):
     """Largest inscribed ball of the subset's cell within the region.
 
-    The Chebyshev centre of geometry.TopkCell over the cutoff band.
+    The Chebyshev centre of geometry.TopkCell over the cutoff band, the
+    one an engine just built for the same dataset, k and region when there
+    is one (geometry.cutoff_band).
     Returns None when the cell misses the region; raises ValueError when
     subset is not k distinct ids of the dataset.
     """
     if len(subset) != k:
         raise ValueError(f"subset size {len(subset)} does not match k={k}")
-    band = CutoffBand(dataset, k, region)
+    band = cutoff_band(dataset, k, region)
     seats = band.seats(subset)
     got = None if seats is None else TopkCell(band, seats).center()
     if got is None:

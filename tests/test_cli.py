@@ -241,6 +241,14 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_protected_name_given_twice(self, workdir, tmp_path, capsys):
+        entry = {"name": "blue", "lower": 0.5, "upper": 1.0}
+        config = write_config(tmp_path / "twice.json", protected=[entry, entry])
+        code = main(["select", "--data", workdir["data"], "--config", config])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: protected group 'blue' is named twice\n"
+
     def test_malformed_csv_reports_line(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,attr1,attr2,groups\n0,0.1,nope,\n")

@@ -35,7 +35,7 @@ from fairtopk.geometry import (
     simplex_rows_projected,
 )
 from fairtopk.generators import random_instance
-from fairtopk.tolerances import FEAS_TOL
+from fairtopk.tolerances import FEAS_TOL, RHS_SNAP, ZERO
 
 
 def random_lp(rng, nvars, nrows, feasible_bias=True):
@@ -59,6 +59,50 @@ def random_lp(rng, nvars, nrows, feasible_bias=True):
         rows.append((e, "<=", 50.0))
         rows.append((e, ">=", -50.0))
     return LpProblem(c, rows, direction="min")
+
+
+def mixed_lp(rng, kind):
+    """Random LP over "<=", ">=" and "=" rows with right-hand sides of both
+    signs, anchored at a point so it is feasible, plus one redundant
+    equality when there are equalities.  kind "infeasible" adds two rows no
+    point meets; "unbounded" leaves out the box rows."""
+    nvars = int(rng.integers(2, 6))
+    x0 = rng.normal(size=nvars)
+    rows = []
+    for _ in range(int(rng.integers(2, 10))):
+        a = rng.normal(size=nvars)
+        rel = ("<=", ">=", "=")[int(rng.integers(3))]
+        gap = {"<=": 1.0, ">=": -1.0, "=": 0.0}[rel] * rng.uniform(0.0, 1.0)
+        rows.append((a, rel, float(a @ x0) + gap))
+    eq = [(a, b) for a, rel, b in rows if rel == "="]
+    if eq:
+        mix = rng.normal(size=len(eq))
+        rows.append((sum(f * a for f, (a, _) in zip(mix, eq)), "=",
+                     float(sum(f * b for f, (_, b) in zip(mix, eq)))))
+    if kind == "infeasible":
+        a = rng.normal(size=nvars)
+        rows += [(a, "<=", float(a @ x0)), (-a, "<=", -float(a @ x0) - 0.5)]
+    if kind != "unbounded":
+        for i in range(nvars):
+            e = np.eye(nvars)[i]
+            rows += [(e, "<=", 50.0), (e, ">=", -50.0)]
+    order = rng.permutation(len(rows))
+    direction = ("min", "max")[int(rng.integers(2))]
+    return LpProblem(rng.normal(size=nvars), [rows[i] for i in order], direction)
+
+
+def row_loop_pivot(A, b, row, col):
+    """geometry._pivot as one update per row: the reference it must equal."""
+    piv = A[row, col]
+    A[row] /= piv
+    b[row] /= piv
+    for i in range(len(b)):
+        if i != row and abs(A[i, col]) > ZERO:
+            f = A[i, col]
+            A[i] -= f * A[row]
+            b[i] -= f * b[row]
+            if b[i] < 0 and b[i] > -RHS_SNAP:
+                b[i] = 0.0
 
 
 DATA = Path(__file__).parent / "data"
@@ -168,6 +212,95 @@ class TestLpKernels:
         assert_allclose(out.value, 2.0, atol=1e-9)
         out = simplex_lp(prob)
         assert_allclose(out.value, 2.0, atol=1e-9)
+
+    def test_mixed_rows_agree_with_highs(self):
+        rng = np.random.default_rng(2024)
+        seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+        for trial in range(240):
+            prob = mixed_lp(rng, ("feasible", "infeasible", "unbounded")[trial % 3])
+            ref_status, ref_value = scipy_reference(prob)
+            out = simplex_lp(prob)
+            assert out.status == ref_status, f"trial {trial}: {out.status} vs {ref_status}"
+            seen[ref_status] += 1
+            if ref_status == "optimal":
+                assert_allclose(out.value, ref_value, atol=1e-6, rtol=1e-6)
+                for a, rel, b in prob.rows:
+                    gap = float(a @ out.x) - b
+                    excess = {"<=": gap, ">=": -gap, "=": abs(gap)}[rel]
+                    assert excess <= 1e-7 * (1.0 + abs(b)), f"trial {trial}"
+        assert min(seen.values()) >= 30, seen
+
+    def test_rank_one_pivot_matches_the_row_loop(self):
+        rng = np.random.default_rng(8)
+        snapped = 0
+        for _ in range(200):
+            m, n = int(rng.integers(2, 12)), int(rng.integers(1, 16))
+            A = rng.normal(size=(m, n))
+            A[rng.random((m, n)) < 0.3] = 0.0
+            A[rng.random((m, n)) < 0.1] = 1e-13  # below ZERO: the row is left alone
+            b = rng.uniform(0.0, 1.0, size=m)
+            row, col = int(rng.integers(m)), int(rng.integers(n))
+            A[row, col] = rng.uniform(0.5, 2.0)
+            # row j's right-hand side lands a hair below zero, where it snaps to 0
+            j = (row + 1) % m
+            b[j] = A[j, col] * b[row] / A[row, col] - 1e-12
+            A1, b1, A2, b2 = A.copy(), b.copy(), A.copy(), b.copy()
+            fairtopk.geometry._pivot(A1, b1, row, col)
+            row_loop_pivot(A2, b2, row, col)
+            assert np.array_equal(A1, A2) and np.array_equal(b1, b2)
+            snapped += b1[j] == 0.0
+        assert snapped > 50
+
+    def test_slack_feasible_rows_skip_phase_one(self, monkeypatch):
+        phases = []
+        real = fairtopk.geometry._simplex_iterate
+
+        def recording(A, b, basis, cost, budget, phase):
+            phases.append(phase)
+            return real(A, b, basis, cost, budget, phase)
+
+        monkeypatch.setattr(fairtopk.geometry, "_simplex_iterate", recording)
+        # every "<=" right-hand side is >= 0 and every ">=" one <= 0: the
+        # slack basis is feasible at x = 0
+        rows = [((1.0, 2.0), "<=", 4.0), ((3.0, -1.0), "<=", 0.0),
+                ((1.0, 0.0), ">=", -2.0), ((0.0, 1.0), ">=", -0.0)]
+        out = simplex_lp(LpProblem([-1.0, -1.0], rows))
+        assert phases == [2]
+        assert out.status == "optimal"
+        assert_allclose(out.x, [4.0 / 7.0, 12.0 / 7.0], atol=1e-12)
+        # a ">=" row with a positive right-hand side needs an artificial
+        phases.clear()
+        out = simplex_lp(LpProblem([-1.0, -1.0], rows + [((1.0, 1.0), ">=", 1.0)]))
+        assert phases == [1, 2]
+        assert_allclose(out.value, -16.0 / 7.0, atol=1e-12)
+
+    def test_cell_lps_match_highs(self, monkeypatch):
+        # the witness, closest-point and centre LPs of the top-k cell at the
+        # region centroid, on seeded d = 3 and d = 4 instances
+        seen = []
+        real = fairtopk.geometry.simplex_lp
+
+        def recording(problem):
+            seen.append(problem)
+            return real(problem)
+
+        monkeypatch.setattr(fairtopk.geometry, "simplex_lp", recording)
+        rng = np.random.default_rng(77)
+        for d in (3, 3, 4):
+            data = random_instance(rng, n=30, d=d, n_protected=1)
+            wo = WeightVector(tuple(rng.dirichlet(np.ones(d))))
+            band = CutoffBand(data, 5, WeightRegion.box(wo, 0.15))
+            scores = data.points @ lift_weight(band.verts.mean(axis=0)).weights
+            cell = TopkCell(band, band.seats(data.id_array[np.argsort(-scores)[:5]]))
+            assert cell.witness() is not None
+            assert cell.closest() is not None
+            assert cell.center() is not None
+        assert len(seen) == 9
+        for problem in seen:
+            status, value = scipy_reference(problem)
+            out = real(problem)
+            assert out.status == status == "optimal"
+            assert abs(out.value - value) <= 1e-9
 
     @pytest.mark.parametrize("name", ["singular_phase_one_lp", "singular_phase_one_child_lp"])
     def test_drifted_phase_one_answers_infeasible(self, name):

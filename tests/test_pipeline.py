@@ -19,6 +19,7 @@ from fairtopk.core import (
     WeightVector,
 )
 from fairtopk import pipeline
+from fairtopk.geometry import CutoffBand
 from fairtopk.pipeline import (
     BENCH_COLUMNS,
     KLEVEL_BASE_K,
@@ -131,6 +132,11 @@ class TestRunConfig:
             RunConfig(k=2, epsilon=0.1, protected=[("a", 0.7, 0.3)])
         with pytest.raises(ValueError, match="bounds"):
             RunConfig(k=2, epsilon=0.1, protected=[("a", 0.0, 1.5)])
+
+    def test_protected_name_given_twice(self):
+        with pytest.raises(ValueError, match="'blue' is named twice"):
+            RunConfig(k=2, epsilon=0.1, protected=[("blue", 0.0, 1.0), ("red", 0.0, 1.0),
+                                                   {"name": "blue", "lower": 0.5, "upper": 1.0}])
 
     def test_from_json_rejects_unknown_keys(self):
         payload = {"k": 2, "epsilon": 0.1, "tolerance": 1e-6}
@@ -454,6 +460,21 @@ class TestSelectDriver:
         assert result.margin == pytest.approx(1.0 / 45.0, abs=1e-9)
         assert result.extras["stable_degenerate"] is False
         assert result.extras["box_radius"] > 0.0
+
+    def test_stable_klevel_select_builds_one_band(self, tmp_path, monkeypatch):
+        built = []
+        real = CutoffBand.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(CutoffBand, "__init__", counting)
+        data = load_csv(write_five_csv(tmp_path / "t.csv"), protected=("blue",))
+        result = select(data, five_config(objective=UTILITY_LOSS, engine="klevel", stable=True))
+        assert result.subset == (2, 4)
+        assert result.stable_weight[0] == pytest.approx(26.0 / 45.0, abs=1e-9)
+        assert len(built) == 1
 
     def test_stable_after_distance_objective_warns(self, tmp_path):
         data = load_csv(write_five_csv(tmp_path / "t.csv"), protected=("blue",))

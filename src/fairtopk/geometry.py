@@ -4,13 +4,14 @@ Weights live on the standard simplex, so every d-dimensional weight vector
 is handled in the projected space of its first d-1 components; the last
 component is implied.  Scores become affine functions of the projected
 point, and in two dimensions each candidate turns into a dual line.
+
+Every LP of the package goes through one kernel, the dense simplex_lp.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +19,8 @@ import numpy as np
 from .core import LpStallError, WeightVector, weight_components
 from .tolerances import (
     FEAS_TOL, PHASE_ONE_GAP, PHASE_ONE_TOL, PIVOT_TOL, RATIO_TIE, REDUCED_COST_TOL, RHS_SNAP,
-    SEIDEL_BOX_REL, TIE_EPS, ZERO,
+    TIE_EPS, ZERO,
 )
-
-SEIDEL_MAX_DIMS = 8
-SEIDEL_BOX = 1e7
 
 
 # ----------------------------------------------------------------------
@@ -137,103 +135,6 @@ class LpOutcome:
 
 
 # ----------------------------------------------------------------------
-# Seidel's randomized incremental LP (no engine caller)
-# ----------------------------------------------------------------------
-
-def seidel_lp(problem, seed=0):
-    """Randomized incremental LP for up to SEIDEL_MAX_DIMS variables.
-
-    Rows are processed in a seed-deterministic shuffled order; a violated
-    row sends the search to that row's boundary in one fewer dimension.
-    The implicit bounding box at +-SEIDEL_BOX detects unbounded problems.
-
-    No engine calls it any more: simplex_lp was faster on every LP that
-    used to come here.  It stays only because perfbench/spans.py spans it
-    by name, and the traced benchmark run stops without it.
-    """
-    d = problem.nvars
-    if d > SEIDEL_MAX_DIMS:
-        raise ValueError(f"seidel_lp handles at most {SEIDEL_MAX_DIMS} variables, got {d}")
-    sign = 1.0 if problem.direction == "max" else -1.0
-    c = sign * problem.c
-    rows = []
-    for a, rel, b in problem.rows:
-        if rel in ("<=", "="):
-            rows.append((a.copy(), b))
-        if rel in (">=", "="):
-            rows.append((-a, -b))
-    rng = random.Random(seed)
-    rng.shuffle(rows)
-    lo, hi = np.full(d, -SEIDEL_BOX), np.full(d, SEIDEL_BOX)
-    x = _seidel_rec(rows, c, lo, hi)
-    if x is None:
-        return LpOutcome("infeasible")
-    x = np.asarray(x)
-    if np.any(np.abs(x) >= SEIDEL_BOX * (1.0 - SEIDEL_BOX_REL)):
-        return LpOutcome("unbounded")
-    return LpOutcome("optimal", x, float(problem.c @ x))
-
-
-def _corner(c, lo, hi):
-    x = np.where(c > 0, hi, np.where(c < 0, lo, np.clip(0.0, lo, hi)))
-    return x.astype(float)
-
-
-def _seidel_rec(rows, c, lo, hi):
-    d = len(c)
-    if d == 1:
-        l, h = lo[0], hi[0]
-        for a, b in rows:
-            av = float(a[0])
-            if abs(av) <= ZERO:
-                if b < -FEAS_TOL:
-                    return None
-                continue
-            t = b / av
-            if av > 0:
-                h = min(h, t)
-            else:
-                l = max(l, t)
-        if l > h + FEAS_TOL:
-            return None
-        h = max(h, l)
-        x = h if c[0] > 0 else (l if c[0] < 0 else min(max(0.0, l), h))
-        return np.array([x])
-
-    x = _corner(c, lo, hi)
-    seen = []
-    for a, b in rows:
-        if float(a @ x) <= b + FEAS_TOL * max(1.0, abs(b)):
-            seen.append((a, b))
-            continue
-        j = int(np.argmax(np.abs(a)))
-        aj = float(a[j])
-        if abs(aj) <= ZERO:
-            if b < -FEAS_TOL:
-                return None
-            seen.append((a, b))
-            continue
-        keep = [i for i in range(d) if i != j]
-        arat = a[keep] / aj
-        sub_rows = []
-        for g, h_rhs in seen:
-            gj = float(g[j])
-            sub_rows.append((g[keep] - gj * arat, h_rhs - gj * b / aj))
-        # the eliminated variable keeps its box bounds as general rows
-        sub_rows.append((arat.copy(), b / aj - lo[j]))      # x_j >= lo_j
-        sub_rows.append((-arat, hi[j] - b / aj))            # x_j <= hi_j
-        c2 = c[keep] - c[j] * arat
-        y = _seidel_rec(sub_rows, c2, lo[keep], hi[keep])
-        if y is None:
-            return None
-        x = np.empty(d)
-        x[keep] = y
-        x[j] = (b - float(a[keep] @ y)) / aj
-        seen.append((a, b))
-    return x
-
-
-# ----------------------------------------------------------------------
 # dense two-phase simplex with an anti-cycling fallback
 # ----------------------------------------------------------------------
 
@@ -327,6 +228,13 @@ def simplex_lp(problem, pivot_budget=20000):
     x_split[basis] = b
     x = x_split[:n] - x_split[n:2 * n]
     return LpOutcome("optimal", x, float(problem.c @ x))
+
+
+def seidel_lp(problem):
+    """simplex_lp under the name the benchmark tracer spans.  Not an alias:
+    the tracer swaps every attribute that is the spanned object, so an alias
+    would file all simplex_lp calls under this name."""
+    return simplex_lp(problem)
 
 
 class _Unbounded(Exception):

@@ -227,11 +227,7 @@ def solve_milp(model, node_budget=DEFAULT_NODE_BUDGET):
         )
 
     serial = 0
-    heap = []
-    root = relax({})
-    if root.status != "optimal":
-        return None
-    heapq.heappush(heap, _Node(sense * root.value, 0, serial, {}))
+    heap = [_Node(-math.inf, 0, serial, {})]  # the loop solves the root like any node
     incumbent = None
     best = math.inf
     nodes = 0

@@ -322,6 +322,8 @@ def reorder_protected(dataset, names):
 
 def choose_engine(d, k, objective, engine="auto"):
     """Dispatch rule: sweeps in 2-D, cells for small k, MILP otherwise."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
     if engine != "auto":
         return engine
     if d == 2:

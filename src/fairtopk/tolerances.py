@@ -32,5 +32,3 @@ PHASE_ONE_TOL = 1e-7
 INT_TOL = 1e-6
 # milp: a bound this close to the incumbent cannot improve it
 CUT_TOL = 1e-12
-# seidel_lp: a point this close to its box, relative to the box, is unbounded
-SEIDEL_BOX_REL = 1e-6

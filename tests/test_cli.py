@@ -196,6 +196,14 @@ class TestBenchCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_engine_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        code = main(["bench", "--out", str(out), "--cases", "10:3:3", "--engines", "bogus",
+                     "--reps", "1"])
+        assert code == 1
+        assert "error: unknown engine 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOracleCommand:
     def test_brute_matches_select(self, workdir, capsys):

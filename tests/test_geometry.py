@@ -30,7 +30,6 @@ from fairtopk.geometry import (
     projected_region_rows,
     region_extreme_points,
     region_interval,
-    seidel_lp,
     simplex_lp,
     simplex_rows_projected,
 )
@@ -144,22 +143,19 @@ class TestLpKernels:
             [-1.0, -1.0],
             [((1, 0), "<=", 3), ((0, 1), "<=", 4), ((1, 1), "<=", 5)],
         )
-        for solver in (seidel_lp, simplex_lp):
-            out = solver(prob)
-            assert out.status == "optimal"
-            assert_allclose(out.value, -5.0, atol=1e-9)
+        out = simplex_lp(prob)
+        assert out.status == "optimal"
+        assert_allclose(out.value, -5.0, atol=1e-9)
 
     def test_infeasible_detected(self):
         prob = LpProblem([1.0, 0.0], [((1, 0), "<=", 0), ((1, 0), ">=", 1)])
-        assert seidel_lp(prob).status == "infeasible"
         assert simplex_lp(prob).status == "infeasible"
 
     def test_unbounded_detected(self):
         prob = LpProblem([1.0, 0.0], [((1, 0), "<=", 5)], direction="max")
         # only x is capped; maximizing x is bounded, minimizing is not
-        assert seidel_lp(prob).status == "optimal"
+        assert simplex_lp(prob).status == "optimal"
         low = LpProblem([1.0, 0.0], [((1, 0), "<=", 5)], direction="min")
-        assert seidel_lp(low).status == "unbounded"
         assert simplex_lp(low).status == "unbounded"
 
     def test_equality_rows(self):
@@ -173,8 +169,6 @@ class TestLpKernels:
         out = simplex_lp(prob)
         assert out.status == "optimal"
         assert_allclose(out.value, 0.25, atol=1e-9)
-        out2 = seidel_lp(prob)
-        assert_allclose(out2.value, 0.25, atol=1e-9)
 
     def test_three_solver_agreement_random(self):
         rng = np.random.default_rng(42)
@@ -183,12 +177,9 @@ class TestLpKernels:
             nrows = int(rng.integers(1, 12))
             prob = random_lp(rng, nvars, nrows, feasible_bias=trial % 3 != 0)
             ref_status, ref_value = scipy_reference(prob)
-            sout = seidel_lp(prob, seed=trial)
             mout = simplex_lp(prob)
-            assert sout.status == ref_status, f"trial {trial}: seidel {sout.status} vs {ref_status}"
             assert mout.status == ref_status, f"trial {trial}: simplex {mout.status} vs {ref_status}"
             if ref_status == "optimal":
-                assert_allclose(sout.value, ref_value, atol=1e-6, rtol=1e-6)
                 assert_allclose(mout.value, ref_value, atol=1e-6, rtol=1e-6)
 
     def test_simplex_handles_many_variables(self):
@@ -199,17 +190,8 @@ class TestLpKernels:
         assert out.status == ref_status == "optimal"
         assert_allclose(out.value, ref_value, atol=1e-6, rtol=1e-6)
 
-    def test_seidel_seed_determinism(self):
-        rng = np.random.default_rng(13)
-        prob = random_lp(rng, 3, 9)
-        a = seidel_lp(prob, seed=5)
-        b = seidel_lp(prob, seed=5)
-        assert_allclose(a.x, b.x, atol=0)
-
     def test_maximization_sign_convention(self):
         prob = LpProblem([2.0, 1.0], [((1, 1), "<=", 1), ((1, 0), ">=", 0), ((0, 1), ">=", 0)], direction="max")
-        out = seidel_lp(prob)
-        assert_allclose(out.value, 2.0, atol=1e-9)
         out = simplex_lp(prob)
         assert_allclose(out.value, 2.0, atol=1e-9)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fairtopk.milp
 from fairtopk.core import (
     BudgetExceededError,
     Candidate,
@@ -332,6 +333,35 @@ class TestSolve:
         assert res is not None
         assert_allclose(res.value, 0.0441556921, atol=1e-9)
         assert verify_fair(data, 8, spec, res.weight)
+
+    def test_each_node_solves_one_lp(self, five_dataset, five_spec, monkeypatch):
+        # the root relaxation is solved once, when the loop pops it
+        calls = []
+
+        def counted(problem):
+            calls.append(problem)
+            return simplex_lp(problem)
+
+        monkeypatch.setattr(fairtopk.milp, "simplex_lp", counted)
+        cases = [
+            (five_dataset, 2, five_spec, WeightRegion.box(WeightVector((0.5, 0.5)), 0.5, objective))
+            for objective in (W_DIFFERENCE, UTILITY_LOSS)
+        ]
+        rng = np.random.default_rng(53)
+        for trial in range(4):
+            data, spec = tied_instance(rng, n=12, d=3, n_protected=1, k=4, dup_rate=0.2)
+            wo = WeightVector(tuple(rng.dirichlet(np.ones(3))))
+            objective = (W_DIFFERENCE, UTILITY_LOSS)[trial % 2]
+            cases.append((data, 4, spec, WeightRegion.box(wo, 0.3, objective=objective)))
+        solved = 0
+        for data, k, spec, region in cases:
+            calls.clear()
+            res = solve_milp(build_milp(data, k, spec, region))
+            if res is None:
+                continue
+            solved += 1
+            assert len(calls) == res.extras["nodes"]
+        assert solved >= 4
 
     def test_node_budget(self, five_dataset, five_spec):
         region = WeightRegion.box(WeightVector((0.5, 0.5)), 0.5)

@@ -389,6 +389,17 @@ class TestChooseEngine:
         for engine in ("sweep2d", "klevel", "milp"):
             assert choose_engine(6, 50, UTILITY_LOSS, engine) == engine
 
+    def test_unknown_engine_rejected(self, five_dataset):
+        # an unknown name used to run milp, labelled with the unknown name
+        with pytest.raises(ValueError, match="unknown engine 'klevell'"):
+            choose_engine(3, 5, UTILITY_LOSS, "klevell")
+        with pytest.raises(ValueError, match="unknown engine 'klevell'"):
+            bench([{"n": 10, "d": 2, "k": 3, "engines": ("klevell",)}], reps=1)
+        config = RunConfig(k=2, epsilon=0.5)
+        config.engine = "bogus"  # past the config-time check
+        with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+            select(five_dataset, config)
+
     def test_two_attributes_always_sweep(self):
         assert choose_engine(2, 1, W_DIFFERENCE) == "sweep2d"
         assert choose_engine(2, 500, UTILITY_LOSS) == "sweep2d"

@@ -40,6 +40,16 @@ def test_every_spanned_function_exists(spans):
     assert not missing, f"spans.py patches names the program lacks: {missing}"
 
 
+def test_every_spanned_function_is_its_own_object(spans):
+    # the tracer swaps every attribute that is the spanned object, so two
+    # names for one function would file all its time under the last span
+    owners = {}
+    for mod, fn in spans.SPANS:
+        owners.setdefault(id(program(mod, fn)), []).append(f"{mod}.{fn}")
+    shared = [names for names in owners.values() if len(names) > 1]
+    assert not shared, f"spans.py patches one function under several names: {shared}"
+
+
 @pytest.mark.parametrize("module, name", [
     ("verify", "backtrack_tiebreak"),
     ("verify", "max_utility_tiebreak"),

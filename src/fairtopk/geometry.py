@@ -102,16 +102,25 @@ def dual_line(cid, point):
 
 @dataclass
 class LpProblem:
-    """min or max of c . x over rows a . x {<=, >=, =} b; variables free."""
+    """min or max of c . x over rows a . x {<=, >=, =} b; variables free.
+
+    start is a point of the variables, the origin when None, where
+    simplex_lp begins: an inequality row it satisfies needs no artificial.
+    """
 
     c: np.ndarray
     rows: list
     direction: str = "min"
+    start: np.ndarray = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         if self.direction not in ("min", "max"):
             raise ValueError(f"bad direction {self.direction!r}")
+        self.start = np.zeros(self.c.shape) if self.start is None else \
+            np.asarray(self.start, dtype=float)
+        if self.start.shape != self.c.shape:
+            raise ValueError("start length does not match variable count")
         norm = []
         for a, rel, b in self.rows:
             a = np.asarray(a, dtype=float)
@@ -141,15 +150,18 @@ class LpOutcome:
 def simplex_lp(problem, pivot_budget=20000):
     """Two-phase tableau simplex over split free variables.
 
-    Rows with a negative right-hand side, and ">=" rows with a zero one,
-    are negated first.  A row whose slack then has coefficient +1 starts
-    with that slack in the basis.  Only "=" rows, ">=" rows with b > 0
-    and "<=" rows with b < 0 get an artificial column, and phase 1 runs
-    only when there is one.  Entering columns follow the most-negative
-    reduced cost until a run of degenerate pivots, after which Bland's
-    least-index rule takes over so the method cannot cycle.  Exceeding
-    the pivot budget raises LpStallError rather than returning a wrong
-    answer, and so does a phase-1 basis that drift has made singular.
+    The origin moves to problem.start: the variables become x - start and
+    each right-hand side b - a . start, so a row the start satisfies has
+    b <= 0 (">=") or b >= 0 ("<=").  Rows with a negative right-hand side,
+    and ">=" rows with a zero one, are negated first.  A row whose slack
+    then has coefficient +1 starts with that slack in the basis.  Only
+    "=" rows and the inequality rows the start violates get an artificial
+    column, and phase 1 runs only when there is one.  Entering columns
+    follow the most-negative reduced cost until a run of degenerate
+    pivots, after which Bland's least-index rule takes over so the method
+    cannot cycle.  Exceeding the pivot budget raises LpStallError rather
+    than returning a wrong answer, and so does a phase-1 basis that drift
+    has made singular.
     """
     sign = 1.0 if problem.direction == "min" else -1.0
     n = problem.nvars
@@ -158,17 +170,17 @@ def simplex_lp(problem, pivot_budget=20000):
         # unconstrained: bounded only if the objective is identically zero
         if np.any(np.abs(problem.c) > ZERO):
             return LpOutcome("unbounded")
-        return LpOutcome("optimal", np.zeros(n), 0.0)
+        return LpOutcome("optimal", problem.start.copy(), 0.0)
 
     # columns: x+ (n), x- (n), slack/surplus (one per inequality), artificials
     rel = np.array([r for _, r, _ in problem.rows])
-    b = np.array([rhs for _, _, rhs in problem.rows])
     slack_rows = np.nonzero(rel != "=")[0]
     slack_cols = 2 * n + np.arange(len(slack_rows))
     n_cols = 2 * n + len(slack_rows)
     A = np.zeros((m, n_cols))
     A[:, :n] = [a for a, _, _ in problem.rows]
     A[:, n:2 * n] = -A[:, :n]
+    b = np.array([rhs for _, _, rhs in problem.rows]) - A[:, :n] @ problem.start
     A[slack_rows, slack_cols] = np.where(rel[slack_rows] == "<=", 1.0, -1.0)
     # negate the rows with b < 0, and the ">=" rows with b = 0: a slack that
     # then reads +1 starts basic, and only the other rows get an artificial
@@ -226,7 +238,7 @@ def simplex_lp(problem, pivot_budget=20000):
         return LpOutcome("unbounded")
     x_split = np.zeros(n_cols)
     x_split[basis] = b
-    x = x_split[:n] - x_split[n:2 * n]
+    x = x_split[:n] - x_split[n:2 * n] + problem.start
     return LpOutcome("optimal", x, float(problem.c @ x))
 
 
@@ -416,12 +428,14 @@ class CutoffBand:
     region.  The band rows fall into duplicate-point classes, numbered by
     their first band row so every cell LP keeps the band's row order; each
     class has a size and one projected score form (Q, r).  walls are the
-    region's projected rows, simplex first.  One hyperplane_side call over
-    the class pairs gives the band's r-dominance order, two boolean
-    matrices: crosses[a, b] tells whether the tie hyperplane of classes a
-    and b meets the region, so that moving a seat between them can change
-    the top-k there, and above[a, b] whether class a scores above class b
-    at every weight in the region.
+    region's projected rows, simplex first.  Every cell LP starts at the
+    centroid of the region's vertices, where the classes score
+    centroid_scores.  One hyperplane_side call over the class pairs gives
+    the band's r-dominance order, two boolean matrices: crosses[a, b]
+    tells whether the tie hyperplane of classes a and b meets the region,
+    so that moving a seat between them can change the top-k there, and
+    above[a, b] whether class a scores above class b at every weight in
+    the region.
     """
 
     def __init__(self, dataset, k, region):
@@ -438,6 +452,8 @@ class CutoffBand:
         self.size = np.bincount(self.cls, minlength=len(first))
         self.Q, self.r = project_points(points[self.rows[np.sort(first)]])
         self.walls = projected_region_rows(region)
+        self.centroid = self.verts.mean(axis=0) if len(self.verts) else np.zeros(self.d - 1)
+        self.centroid_scores = self.Q @ self.centroid + self.r
 
         side = hyperplane_side(self.Q[:, None] - self.Q[None], self.r[:, None] - self.r[None],
                                self.verts)
@@ -450,6 +466,10 @@ class CutoffBand:
         member = np.isin(self.dataset.id_array, subset)
         if int(member.sum()) != len(subset):
             raise ValueError(f"subset {tuple(subset)} repeats an id or has one not in the data")
+        return self.member_seats(member)
+
+    def member_seats(self, member):
+        """seats() of the subset given as a boolean mask over the rows."""
         if np.any(self.sure_in & ~member) or np.any(self.sure_out & member):
             return None
         return tuple(np.bincount(self.cls[member[self.rows]], minlength=len(self.size)).tolist())
@@ -486,12 +506,37 @@ class TopkCell:
     on it, so a subset that splits classes gets the face where they all
     tie.  The sure rows are stood in for by the lambda_hi and lambda_lo
     cutoff rows.
+
+    All three LPs start (LpProblem.start) at the band's region-vertex
+    centroid, with lambda midway between the classes that must lie above
+    and below it there.  witness() starts its margin a unit below every
+    bound a row puts on it, so only the "=" rows of split classes need
+    phase 1; closest() starts its distances at the centroid's, and
+    center() its radius at the centroid's smallest normalised slack.
     """
 
     def __init__(self, band, seats):
         self.band = band
         seats = np.asarray(seats, dtype=int)
         self.side = np.where(seats == band.size, 1, np.where(seats == 0, -1, 0))
+
+    def _start(self, nv):
+        """A start over (y, lambda, ...) and its margin.  y is the band's
+        centroid, and lambda lies midway between the lowest class score or
+        bound that must clear the cutoff there and the highest that must
+        stay under it; the margin, half that gap, is the least by which
+        those rows hold (0 unless both kinds exist)."""
+        band, d = self.band, self.band.d
+        s = band.centroid_scores
+        hi = min(s[self.side == 1].tolist() + [v for v in [band.lambda_hi] if v is not None],
+                 default=None)
+        lo = max(s[self.side == -1].tolist() + [v for v in [band.lambda_lo] if v is not None],
+                 default=None)
+        ends = [v for v in (hi, lo) if v is not None]
+        start = np.zeros(nv)
+        start[: d - 1] = band.centroid
+        start[d - 1] = sum(ends) / len(ends) if ends else 0.0
+        return start, (hi - lo) / 2.0 if len(ends) == 2 else 0.0
 
     def _cut_rows(self, nv, xi=None):
         """Class score rows and cutoff rows over (y, lambda, ...); a xi
@@ -528,7 +573,9 @@ class TopkCell:
         a = np.zeros(nv)
         a[d] = 1.0
         rows.append((a, "<=", 1.0))
-        out = simplex_lp(LpProblem(a, rows, "max"))
+        start, margin = self._start(nv)
+        start[d] = min(margin, 1.0) - 1.0
+        out = simplex_lp(LpProblem(a, rows, "max", start))
         if out.status != "optimal" or out.value <= TIE_EPS:
             return None
         return tuple(float(v) for v in out.x[: d - 1])
@@ -549,7 +596,9 @@ class TopkCell:
         rows = self._cut_rows(nv) + _wall_rows(self.band.walls, nv) + envelope
         c = np.zeros(nv)
         c[d:] = 1.0
-        out = simplex_lp(LpProblem(c, rows, "min"))
+        start, _ = self._start(nv)
+        start[d:] = np.abs(lift_weight(start[: d - 1]).as_array() - wo)
+        out = simplex_lp(LpProblem(c, rows, "min", start))
         if out.status != "optimal":
             return None
         return lift_weight(out.x[: d - 1]), float(out.value)
@@ -581,8 +630,9 @@ class TopkCell:
                 continue
             rows.append((np.append(gi / norm, -1.0), ">=", -hi / norm))
         radius = np.eye(d)[d - 1]
+        slack = min(float(a[: d - 1] @ band.centroid) - b for a, _, b in rows)
         rows.append((radius, ">=", 0.0))
-        out = simplex_lp(LpProblem(radius, rows, "max"))
+        out = simplex_lp(LpProblem(radius, rows, "max", np.append(band.centroid, slack)))
         if out.status != "optimal":
             return None
         margin = max(0.0, float(out.value))

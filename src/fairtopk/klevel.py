@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import BudgetExceededError, UTILITY_LOSS
 from .geometry import CutoffBand, TopkCell, cutoff_band, lift_weight
-from .verify import decompose_topk, finish_result, max_fair_utility, verify_fair
+from .verify import finish_result, max_fair_utility, verify_fair
 
 DEFAULT_SWAP_BUDGET = 5_000_000
 
@@ -66,13 +66,18 @@ def initial_cell(dataset, k, region, witness=None):
     if witness is None:
         if not len(band.verts):
             return None
-        witness = band.verts.mean(axis=0)
-    return _initial_cell(band, k, witness)
+        witness = band.centroid
+    return _seed_node(band, witness)
 
 
-def _initial_cell(band, k, witness):
-    decomp = decompose_topk(band.dataset, k, lift_weight(witness))
-    return CellNode(band.seats(decomp.order[:k]), tuple(float(v) for v in witness))
+def _seed_node(band, witness):
+    """The node of the top k at a projected witness: the first k rows by
+    (score desc, id asc), which is decompose_topk's order there."""
+    dataset = band.dataset
+    scores = dataset.scores(lift_weight(witness))
+    member = np.zeros(len(dataset), dtype=bool)
+    member[np.lexsort((dataset.id_array, -scores))[: band.k]] = True
+    return CellNode(band.member_seats(member), tuple(float(v) for v in witness))
 
 
 def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGET,
@@ -102,7 +107,7 @@ def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGE
     objective = region.objective
     wo = region.reference
 
-    seeds = [band.verts.mean(axis=0)]
+    seeds = [band.centroid]
     seeds.extend(band.verts)
     if region.contains(wo):
         seeds.append(np.asarray(wo.weights[:-1]))
@@ -110,7 +115,7 @@ def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGE
     seen = set()  # seat tuples a seed produced or a cell LP was asked about
     work = deque()
     for s in seeds:
-        node = _initial_cell(band, k, s)
+        node = _seed_node(band, s)
         if node.seats is not None and node.seats not in seen:
             seen.add(node.seats)
             work.append(node)

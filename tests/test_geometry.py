@@ -1,6 +1,7 @@
 """LP kernels, simplex projection, and region vertex enumeration."""
 
 import itertools
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -60,11 +61,13 @@ def random_lp(rng, nvars, nrows, feasible_bias=True):
     return LpProblem(c, rows, direction="min")
 
 
-def mixed_lp(rng, kind):
+def mixed_lp(rng, kind, start=None):
     """Random LP over "<=", ">=" and "=" rows with right-hand sides of both
     signs, anchored at a point so it is feasible, plus one redundant
     equality when there are equalities.  kind "infeasible" adds two rows no
-    point meets; "unbounded" leaves out the box rows."""
+    point meets; "unbounded" leaves out the box rows.  start "anchor"
+    starts the simplex at the anchor, which meets every inequality row but
+    one of the infeasible pair; "random" at a point that misses some."""
     nvars = int(rng.integers(2, 6))
     x0 = rng.normal(size=nvars)
     rows = []
@@ -87,7 +90,9 @@ def mixed_lp(rng, kind):
             rows += [(e, "<=", 50.0), (e, ">=", -50.0)]
     order = rng.permutation(len(rows))
     direction = ("min", "max")[int(rng.integers(2))]
-    return LpProblem(rng.normal(size=nvars), [rows[i] for i in order], direction)
+    c = rng.normal(size=nvars)
+    at = x0 if start == "anchor" else 3.0 * rng.normal(size=nvars) if start == "random" else None
+    return LpProblem(c, [rows[i] for i in order], direction, at)
 
 
 def row_loop_pivot(A, b, row, col):
@@ -211,6 +216,44 @@ class TestLpKernels:
                     excess = {"<=": gap, ">=": -gap, "=": abs(gap)}[rel]
                     assert excess <= 1e-7 * (1.0 + abs(b)), f"trial {trial}"
         assert min(seen.values()) >= 30, seen
+
+    def test_started_lps_agree_with_highs(self):
+        # from a start inside every inequality row and from one outside
+        # some, on feasible, infeasible and unbounded problems
+        rng = np.random.default_rng(2121)
+        seen = Counter()
+        for trial in range(240):
+            kind = ("feasible", "infeasible", "unbounded")[trial % 3]
+            start = ("anchor", "random")[trial // 3 % 2]
+            prob = mixed_lp(rng, kind, start)
+            ref_status, ref_value = scipy_reference(prob)
+            out = simplex_lp(prob)
+            assert out.status == ref_status, f"trial {trial}: {out.status} vs {ref_status}"
+            seen[ref_status, start] += 1
+            if ref_status == "optimal":
+                assert abs(out.value - ref_value) <= 1e-9, f"trial {trial}"
+        assert len(seen) == 6 and min(seen.values()) >= 15, seen
+
+    def test_a_start_inside_every_inequality_row_skips_phase_one(self, monkeypatch):
+        phases = []
+        real = fairtopk.geometry._simplex_iterate
+
+        def recording(A, b, basis, cost, budget, phase):
+            phases.append(phase)
+            return real(A, b, basis, cost, budget, phase)
+
+        monkeypatch.setattr(fairtopk.geometry, "_simplex_iterate", recording)
+        rng = np.random.default_rng(4)
+        skipped = 0
+        for trial in range(60):
+            prob = mixed_lp(rng, "feasible", "anchor")
+            phases.clear()
+            assert simplex_lp(prob).status == "optimal"
+            # "=" rows get an artificial wherever the start lies
+            equalities = any(rel == "=" for _, rel, _ in prob.rows)
+            assert (1 in phases) == equalities, f"trial {trial}"
+            skipped += not equalities
+        assert skipped >= 10
 
     def test_rank_one_pivot_matches_the_row_loop(self):
         rng = np.random.default_rng(8)

@@ -1,5 +1,6 @@
 """Cell traversal engine: cell LPs, per-cell optima, budget, determinism."""
 
+import dataclasses
 from collections import deque
 
 import numpy as np
@@ -18,6 +19,7 @@ from fairtopk.core import (
     WeightRegion,
     WeightVector,
 )
+from fairtopk.generators import random_instance
 from fairtopk.geometry import CutoffBand, TopkCell, lift_weight
 from fairtopk.klevel import TraversalLedger, initial_cell, traverse
 from fairtopk.milp import build_milp, solve_milp
@@ -53,6 +55,97 @@ class TestCells:
         decomp = decompose_topk(five_dataset, 2, w)
         band = CutoffBand(five_dataset, 2, region)
         assert set(band.subset(node.seats)) == set(decomp.order[:2])
+
+    def test_seed_seats_are_decompose_topk_order(self):
+        # seeds take the top k by (score desc, id asc) in one sort; at the
+        # region's vertices duplicate classes and near-ties straddle the
+        # cutoff, and ids out of row order make the id tie-break count
+        rng = np.random.default_rng(61)
+        tied = 0
+        for trial in range(12):
+            d = 3 + trial % 2
+            data, _ = tied_instance(rng, n=20, d=d, n_protected=1, k=5, dup_rate=0.3)
+            ids = rng.permutation(len(data)) * 3 + 1
+            data = Dataset([Candidate(int(i), c.point, c.groups)
+                            for i, c in zip(ids, data.candidates)])
+            wo = WeightVector(tuple(rng.dirichlet(np.ones(d))))
+            region = WeightRegion.box(wo, float(rng.uniform(0.05, 0.3)))
+            band = CutoffBand(data, 5, region)
+            for w in [band.centroid, *band.verts, np.asarray(wo.weights[:-1])]:
+                decomp = decompose_topk(data, 5, lift_weight(w))
+                assert initial_cell(data, 5, region, w).seats == band.seats(decomp.order[:5])
+                tied += len(decomp.tied_out) > 0
+        assert tied >= 10
+
+    def test_started_cell_lps_take_half_the_pivots(self, monkeypatch):
+        # the witness, closest-point and centre LPs of the cells a walk
+        # finds, each solved from its start and again from the origin
+        count = {"pivots": 0, "phase1": 0}
+        real_lp, real_pivot = fairtopk.geometry.simplex_lp, fairtopk.geometry._pivot
+        real_iterate = fairtopk.geometry._simplex_iterate
+
+        def pivot(*args):
+            count["pivots"] += 1
+            return real_pivot(*args)
+
+        def iterate(A, b, basis, cost, budget, phase):
+            count["phase1"] += phase == 1
+            return real_iterate(A, b, basis, cost, budget, phase)
+
+        def solve(problem):
+            count.update(pivots=0, phase1=0)
+            return real_lp(problem), count["pivots"], count["phase1"]
+
+        found = []  # seat tuples whose witness LP found a cell
+
+        class RecordingCell(TopkCell):
+            def __init__(self, band, seats):
+                super().__init__(band, seats)
+                self.seats = seats
+
+            def witness(self):
+                got = super().witness()
+                if got is not None:
+                    found.append(self.seats)
+                return got
+
+        monkeypatch.setattr(fairtopk.klevel, "TopkCell", RecordingCell)
+        rng = np.random.default_rng(29)
+        data = random_instance(rng, n=40, d=3, n_protected=1, dup_rate=0.15)
+        wo = WeightVector((0.3, 0.3, 0.4))
+        lo, hi = seat_off_reference(data, 6, wo)
+        region = WeightRegion.box(wo, 0.3)
+        traverse(data, 6, FairnessSpec(lower=[lo], upper=[hi]), region)
+        band = CutoffBand(data, 6, region)
+        cells = [TopkCell(band, seats) for seats in found]
+
+        solved = []  # (problem, outcome, pivots, phase-1 runs)
+        monkeypatch.setattr(fairtopk.geometry, "_pivot", pivot)
+        monkeypatch.setattr(fairtopk.geometry, "_simplex_iterate", iterate)
+
+        def recording(problem):
+            solved.append((problem, *solve(problem)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(fairtopk.geometry, "simplex_lp", recording)
+        whole = started = origin = 0
+        for cell in cells:
+            solved.clear()
+            cell.witness()
+            if not np.any(cell.side == 0):
+                whole += 1
+                assert solved[0][3] == 0, "a witness LP without split classes ran phase 1"
+            cell.closest()
+            cell.center()
+            for problem, out, pivots, _ in solved:
+                again, again_pivots, _ = solve(dataclasses.replace(problem, start=None))
+                assert out.status == again.status
+                if out.status == "optimal":
+                    assert abs(out.value - again.value) <= 1e-9
+                started += pivots
+                origin += again_pivots
+        assert len(cells) >= 24 and 12 <= whole < len(cells)
+        assert 2 * started <= origin, (started, origin)
 
     def test_swap_witness_lands_in_the_new_cell(self, five_dataset):
         region = full_region(WeightVector((0.5, 0.5)))

@@ -339,12 +339,14 @@ def run_engine(engine, data, k, spec, region, workers=1):
 
     A reference weight inside the region that is already fair is optimal
     under both objectives, so it is reported without running the search.
+    finish_result checks both conditions and builds the witness from one
+    tie search.
     """
     if engine == "sweep2d" and data.d != 2:
         raise ValueError("sweep2d engine needs exactly two attributes")
-    wo = region.reference
-    if region.contains(wo) and verify_fair(data, k, spec, wo):
-        return finish_result(data, k, spec, region, [wo], engine)
+    result = finish_result(data, k, spec, region, [region.reference], engine)
+    if result is not None:
+        return result
     if engine == "sweep2d":
         return sweep_select(data, k, spec, region)
     if engine == "klevel":

@@ -248,8 +248,11 @@ def _search(tally, slack, spec, best=False, stats=None):
 
 
 def backtrack_tiebreak(tally, slack, spec, stats=None):
-    """Does any distribution of the tied seats satisfy every bound."""
-    return _search(tally, slack, spec, stats=stats) is not None
+    """First distribution of the tied seats that satisfies every bound.
+
+    Returns {profile code: seats} or None when no assignment is fair.
+    """
+    return _search(tally, slack, spec, stats=stats)
 
 
 def max_utility_tiebreak(tally, slack, spec, wo, stats=None):
@@ -277,14 +280,15 @@ def _group_interval_prune(tally, slack, spec):
     return True
 
 
-def _resolve(dataset, k, spec, w, search, wo=None):
+def _resolve(dataset, k, spec, w, wo=None):
     """The one tie-resolution path: (decomp, tally, hit), or None if unfair.
 
     Validates, decomposes the top-k cut under w, tallies the tied part by
-    profile (with reference prefix sums when wo is given) and settles the
-    cases without open seats or with a failed reach test.  Only then is
-    search(tally, slack) called; a falsy result means no fair assignment.
-    hit is None when the strict part fills every seat.
+    profile and settles the cases without open seats or with a failed
+    reach test.  Only then are the tied seats searched: without wo, hit is
+    backtrack_tiebreak's first fair assignment; with wo, the tally carries
+    reference prefix sums and hit is max_utility_tiebreak's (assignment,
+    tied utility).  hit is None when the strict part fills every seat.
     """
     spec.validate(k)
     decomp = decompose_topk(dataset, k, w)
@@ -293,8 +297,11 @@ def _resolve(dataset, k, spec, w, search, wo=None):
         return (decomp, tally, None) if is_fair_counts(tally.base, spec) else None
     if not _group_interval_prune(tally, decomp.slack, spec):
         return None
-    hit = search(tally, decomp.slack)
-    return (decomp, tally, hit) if hit else None
+    if wo is None:
+        hit = backtrack_tiebreak(tally, decomp.slack, spec)
+    else:
+        hit = max_utility_tiebreak(tally, decomp.slack, spec, wo)
+    return None if hit is None else (decomp, tally, hit)
 
 
 def _materialize(decomp, tally, assignment):
@@ -306,26 +313,18 @@ def _materialize(decomp, tally, assignment):
 
 def verify_fair(dataset, k, spec, w):
     """Is some top-k subset under w inside every group-count interval."""
-    def search(tally, slack):
-        # the reach test is exact for at most one group
-        return spec.n_protected <= 1 or backtrack_tiebreak(tally, slack, spec)
-
-    return _resolve(dataset, k, spec, w, search) is not None
+    return _resolve(dataset, k, spec, w) is not None
 
 
-def fair_topk_witness(dataset, k, spec, w, objective=UTILITY_LOSS, wo=None):
-    """A concrete fair top-k subset under w, or None.
+def fair_topk_witness(dataset, k, spec, w, objective=UTILITY_LOSS):
+    """A concrete fair top-k subset under w, or None when w is unfair.
 
-    Under the utility objective with a reference weight wo the tied seats
-    go to a fair assignment maximizing wo-utility (max_fair_utility's
-    witness).  Otherwise the first fair assignment found is returned, with
-    tied candidates of one profile taken in id order: without wo every
-    tied seat is worth the same under w itself.
+    The tied seats go to the first fair assignment found, with tied
+    candidates of one profile taken in id order: every tied seat is worth
+    the same under w itself.  objective is accepted and ignored;
+    max_fair_utility gives the best-utility witness for a reference weight.
     """
-    if objective == UTILITY_LOSS and wo is not None:
-        hit = max_fair_utility(dataset, k, spec, w, wo)
-        return None if hit is None else hit[0]
-    found = _resolve(dataset, k, spec, w, lambda tally, slack: _search(tally, slack, spec))
+    found = _resolve(dataset, k, spec, w)
     return None if found is None else _materialize(*found)
 
 
@@ -335,10 +334,7 @@ def max_fair_utility(dataset, k, spec, w, wo):
     Returns None when w is unfair.  The strict part contributes its full
     utility; the tied seats are assigned by max_utility_tiebreak.
     """
-    def search(tally, slack):
-        return max_utility_tiebreak(tally, slack, spec, wo)
-
-    found = _resolve(dataset, k, spec, w, search, wo=wo)
+    found = _resolve(dataset, k, spec, w, wo)
     if found is None:
         return None
     decomp, tally, hit = found
@@ -365,7 +361,7 @@ def finish_result(dataset, k, spec, region, weights, engine):
         if not region.contains(weight):
             continue
         if region.objective == W_DIFFERENCE:
-            witness = fair_topk_witness(dataset, k, spec, weight, W_DIFFERENCE)
+            witness = fair_topk_witness(dataset, k, spec, weight)
             if witness is None:
                 continue
             util, value = None, w_difference(weight, wo)
@@ -390,7 +386,7 @@ def naive_verify_oracle(dataset, k, spec, w, budget=2_000_000):
     """Reference answer by enumerating every tie-break of the top-k cut.
 
     Refuses (BudgetExceededError) when the number of tied-seat choices
-    exceeds the budget; intended for tests only.
+    exceeds the budget.  It backs `fair-topk oracle` and the tests.
     """
     spec.validate(k)
     decomp = decompose_topk(dataset, k, w)

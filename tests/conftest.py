@@ -1,9 +1,17 @@
 """Shared fixtures: the worked five-candidate dataset and random builders."""
 
-import pytest
+import os
 
-from fairtopk.core import Candidate, Dataset, FairnessSpec, WeightVector
-from fairtopk.generators import random_instance, random_spec
+# one BLAS thread, set before numpy loads: the LPs' small solves only pay
+# for a thread pool's start-up and contention
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
+
+from fairtopk.core import Candidate, Dataset, FairnessSpec, WeightVector  # noqa: E402
+from fairtopk.generators import random_instance, random_spec  # noqa: E402
 
 FIVE_POINTS = [(0.4, 0.7), (0.5, 0.6), (0.7, 0.35), (0.8, 0.2), (0.9, 0.9)]
 

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import fairtopk.cli
+from fairtopk import verify
 from fairtopk.cli import main
 from fairtopk.core import (
     BudgetExceededError, FairResult, LpStallError, W_DIFFERENCE, WeightVector,
@@ -76,6 +77,31 @@ class TestVerifyCommand:
         assert payload["fair"] is True
         assert payload["topk_ids"] == [2, 4]
         assert payload["group_counts"] == {"blue": 1}
+
+    @pytest.mark.parametrize("weight, fair, topk_ids, group_counts", [
+        ("0.58,0.42", True, [2, 4], {"blue": 1}),
+        ("0.5,0.5", False, [], {}),
+    ])
+    def test_one_tie_search_per_answer(self, workdir, capsys, monkeypatch,
+                                       weight, fair, topk_ids, group_counts):
+        decompose, calls = verify.decompose_topk, []
+
+        def counted(*args):
+            calls.append(args)
+            return decompose(*args)
+
+        monkeypatch.setattr(verify, "decompose_topk", counted)
+        code = main(["verify", "--data", workdir["data"], "--config", workdir["config"],
+                     "--weight", weight])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "fair": fair,
+            "weight": [float(v) for v in weight.split(",")],
+            "k": 2,
+            "topk_ids": topk_ids,
+            "group_counts": group_counts,
+        }
+        assert len(calls) == 1
 
 
 class TestSelectCommand:

@@ -33,7 +33,7 @@ def assert_recomputed(data, k, spec, region, res):
     """value and subset equal verify's answer at res.weight, bit for bit."""
     wo = region.reference
     if region.objective == W_DIFFERENCE:
-        witness = fair_topk_witness(data, k, spec, res.weight, W_DIFFERENCE, wo=wo)
+        witness = fair_topk_witness(data, k, spec, res.weight, W_DIFFERENCE)
         assert res.value == w_difference(res.weight, wo)
         assert res.utility is None
     else:

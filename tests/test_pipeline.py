@@ -18,7 +18,7 @@ from fairtopk.core import (
     WeightRegion,
     WeightVector,
 )
-from fairtopk import pipeline
+from fairtopk import pipeline, verify
 from fairtopk.geometry import CutoffBand
 from fairtopk.pipeline import (
     BENCH_COLUMNS,
@@ -516,6 +516,31 @@ class TestSelectDriver:
         assert result.weight == WeightVector((1 / 3, 1 / 3, 1 / 3))
         assert result.value == 0.0
         assert result.subset == (0, 1)
+
+    @pytest.mark.parametrize("objective", [W_DIFFERENCE, UTILITY_LOSS])
+    def test_fair_reference_resolves_its_ties_once(self, monkeypatch, objective):
+        # one tie search both decides that the reference is fair and gives
+        # the reported witness
+        decompose, calls = verify.decompose_topk, []
+
+        def counted(*args):
+            calls.append(args)
+            return decompose(*args)
+
+        monkeypatch.setattr(verify, "decompose_topk", counted)
+        cands = [
+            Candidate(0, (0.9, 0.8, 0.7), {0}),
+            Candidate(1, (0.6, 0.5, 0.4), set()),
+            Candidate(2, (0.3, 0.2, 0.1), {0}),
+            Candidate(3, (0.2, 0.3, 0.2), set()),
+        ]
+        data = Dataset(cands, group_names=("P0",))
+        cfg = RunConfig(k=2, epsilon=0.1, engine="milp", objective=objective,
+                        protected=[("P0", 0.5, 1.0)])
+        result = select(data, cfg)
+        assert result.weight == WeightVector((1 / 3, 1 / 3, 1 / 3))
+        assert result.subset == (0, 1)
+        assert len(calls) == 1
 
     def test_sweep_engine_needs_two_attributes(self):
         rng = np.random.default_rng(0)

@@ -15,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from fairtopk import sweep2d
-from fairtopk.core import WeightRegion, WeightVector
+from fairtopk import sweep2d, verify
+from fairtopk.core import (
+    Candidate, Dataset, FairnessSpec, WeightRegion, WeightVector,
+)
 from fairtopk.klevel import TraversalLedger
 from fairtopk.verify import SearchStats
 
@@ -94,3 +96,20 @@ def test_traced_sweep_counts_its_events(spans, five_dataset, five_spec):
         tracer.restore()
     assert tracer.counters["sweep2d.events"] > 0
     assert tracer.counters["sweep2d.swaps"] >= tracer.counters["sweep2d.events"]
+
+
+def test_traced_witness_counts_its_backtrack(spans):
+    # six candidates tie on one point, so all three seats are slack; with
+    # two groups the reach test cannot settle them and the backtrack runs
+    groups = ({0}, {1}, {0, 1}, set(), {0}, {1})
+    data = Dataset(Candidate(i, (0.5, 0.5), g) for i, g in enumerate(groups))
+    spec = FairnessSpec(lower=[1, 1], upper=[2, 2])
+    w = WeightVector((0.5, 0.5))
+    assert verify.decompose_topk(data, 3, w).slack == 3
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert verify.fair_topk_witness(data, 3, spec, w) is not None
+    finally:
+        tracer.restore()
+    assert tracer.counters["verify.backtrack.nodes"] > 0

@@ -10,6 +10,7 @@ Every LP of the package goes through one kernel, the dense simplex_lp.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -337,12 +338,14 @@ def region_extreme_points(region):
     solvable = np.linalg.det(M) != 0.0
     V = np.linalg.solve(M[solvable], -off[combs[solvable]][..., None])[..., 0]
     V = V[np.all(np.isfinite(V), axis=1)]
-    verts = []
-    for v in V[np.min(V @ A.T + off, axis=1) >= -FEAS_TOL]:
-        if not any(np.max(np.abs(v - u)) <= FEAS_TOL for u in verts):
-            verts.append(v)
-    verts.sort(key=tuple)
-    return verts
+    V = V[np.min(V @ A.T + off, axis=1) >= -FEAS_TOL]
+    # keep each vertex unless it lies within FEAS_TOL of one kept before it
+    near = (np.abs(V[:, None] - V[None]).max(axis=2) <= FEAS_TOL).tolist()
+    kept = []
+    for i, row in enumerate(near):
+        if not any(row[j] for j in kept):
+            kept.append(i)
+    return sorted((V[i] for i in kept), key=tuple)
 
 
 def region_interval(region):
@@ -383,7 +386,8 @@ def band_split(points, k, region):
     if not len(verts):
         return verts, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool), None, None
     sv = points[:, :-1] @ verts.T + np.outer(points[:, -1], 1.0 - verts.sum(axis=1))
-    smin, smax = sv.min(axis=1), sv.max(axis=1)
+    # elementwise over the few vertex columns: a row-wise reduce over short rows is slow
+    smin, smax = functools.reduce(np.minimum, sv.T), functools.reduce(np.maximum, sv.T)
     if n > k:
         u = np.partition(smax, n - k - 1)[n - k - 1]  # (k+1)-th largest max
         v = np.partition(smin, n - k)[n - k]          # k-th largest min

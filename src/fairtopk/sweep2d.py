@@ -1,4 +1,4 @@
-"""Two-dimensional engine: sweep the weight interval left to right.
+"""Two-dimensional engine: sweep the weight interval, judge it outward.
 
 With d = 2 every weight is (x, 1-x) and every candidate becomes a dual
 line over x.  The top-k subset changes only at the vertices of the k-th
@@ -7,13 +7,17 @@ the lowest line of the top set, so the sweep walks the level one lowest
 member line at a time (Edelsbrunner and Welzl, Constructing belts in
 two-dimensional arrangements, 1986).  Only the cutoff band (the lines in
 some but not every top-k over the interval, geometry.band_split) can take
-part in an exchange, so the walk holds the band lines alone.  Fairness at
-every visited position is delegated to the verify module, which owns tie
-handling and always sees the full dataset.
+part in an exchange, so the walk holds the band lines alone.  Positions
+are judged outward from the reference (Asudeh, Jagadish, Stoyanovich and
+Das, Designing fair ranking schemes, 2019), and the walk stops past the
+first fair one on its right.  Fairness at a judged position is delegated
+to the verify module, which owns tie handling and always sees the full
+dataset.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cmp_to_key
@@ -117,12 +121,21 @@ def sweep_events(dataset, k, x0, x_end, rows=None):
 def sweep_select(dataset, k, spec, region):
     """Best fair weight over a 2-d region, or None when none exists.
 
-    Walks the arrangement positions (interval endpoints, every exchange
-    abscissa, the cells between them) from left to right.  Under the
-    w-difference objective the best position in a fair cell is the point
-    of the closed cell nearest the reference abscissa; under utility loss
-    utilities fall monotonically with distance from the reference, so the
-    first fair position at or beyond it settles the right side.
+    The one left-to-right walk yields the arrangement positions (interval
+    endpoints, every exchange abscissa, the cells between them), each
+    represented by its point nearest the reference abscissa wo_x.  They are
+    judged outward from wo_x: the positions left of it are buffered unjudged
+    and taken from their nearest end, the rest of the walk lazily, and the
+    first fair position on each side is that side's best.  Under the
+    w-difference objective the key is the distance itself, so the sides merge
+    by distance, the left first on equal distance as a left-to-right scan
+    prefers, and the first fair position answers.  Under utility loss, take
+    x1 < x2 <= wo_x and a line in the top-k at x2 but not at x1: it scores at
+    wo at least as high as the line it displaced, since their difference is
+    <= 0 at x1 and >= 0 at x2, so >= 0 at wo.  Utility at wo only rises
+    toward wo_x, from either side, so each side stops at its first fair
+    position and the better key wins; keys equal within KEY_EPS relative to
+    1 + |key| resolve toward wo_x, then to the left.
     """
     spec.validate(k)
     if region.d != 2 or dataset.d != 2:
@@ -143,48 +156,62 @@ def sweep_select(dataset, k, spec, region):
     events = sweep_events(dataset, k - int(sure_in.sum()), lb, ub, band)
 
     def positions():
-        yield ("point", lb, lb)
+        """(rep, probe) left to right: a cell is probed at its midpoint and
+        represented by its point nearest wo_x."""
+        yield lb, lb
         prev = lb
         for ev in events:
             if ev.x > prev:
-                yield ("cell", prev, ev.x)
-            yield ("point", ev.x, ev.x)
+                yield min(max(wo_x, prev), ev.x), 0.5 * (prev + ev.x)
+            yield ev.x, ev.x
             prev = ev.x
         if ub > prev:
-            yield ("cell", prev, ub)
-            yield ("point", ub, ub)
+            yield min(max(wo_x, prev), ub), 0.5 * (prev + ub)
+            yield ub, ub
 
-    # (key, distance, rep, probe); key = objective value (wdiff) or -utility,
-    # equal keys resolved toward the reference abscissa
-    best = None
-    for kind, a, b in positions():
-        if kind == "point":
-            probe = rep = a
-        else:
-            probe = 0.5 * (a + b)
-            rep = min(max(wo_x, a), b)
-        w_probe = lift_weight([probe])
-        if objective == W_DIFFERENCE:
-            if not verify_fair(dataset, k, spec, w_probe):
-                continue
-            key = 2.0 * abs(rep - wo_x)
-        else:
-            hit = max_fair_utility(dataset, k, spec, w_probe, wo)
-            if hit is None:
-                continue
-            key = -hit[1]
-        dist = abs(rep - wo_x)
-        if (
-            best is None
-            or key < best[0] - KEY_EPS
-            or (key < best[0] + KEY_EPS and dist < best[1] - KEY_EPS)
-        ):
-            best = (key, dist, rep, probe)
-        if rep >= wo_x - KEY_EPS:
-            break  # nothing right of here can improve either objective
+    # buffer the positions left of wo_x unjudged; the walk goes on lazily
+    right, left = positions(), []
+    for pos in right:
+        if pos[0] >= wo_x - KEY_EPS:
+            right = itertools.chain([pos], right)
+            break
+        left.append(pos)
+    left = reversed(left)  # nearest first
 
-    if best is None:
+    def outward():
+        """Both sides by distance from wo_x, the left first within KEY_EPS."""
+        lpos, rpos = next(left, None), next(right, None)
+        while lpos is not None or rpos is not None:
+            if rpos is None or (lpos is not None and wo_x - lpos[0] <= rpos[0] - wo_x + KEY_EPS):
+                yield lpos
+                lpos = next(left, None)
+            else:
+                yield rpos
+                rpos = next(right, None)
+
+    def first_fair(side):
+        """(key, distance, rep, probe) of the side's first fair position;
+        key = objective value (wdiff) or -utility."""
+        for rep, probe in side:
+            w_probe = lift_weight([probe])
+            if objective == W_DIFFERENCE:
+                if verify_fair(dataset, k, spec, w_probe):
+                    return 2.0 * abs(rep - wo_x), abs(rep - wo_x), rep, probe
+            else:
+                hit = max_fair_utility(dataset, k, spec, w_probe, wo)
+                if hit is not None:
+                    return -hit[1], abs(rep - wo_x), rep, probe
         return None
+
+    sides = [outward()] if objective == W_DIFFERENCE else [left, right]
+    hits = [hit for hit in map(first_fair, sides) if hit is not None]
+    if not hits:
+        return None
+    best = hits[0]
+    for hit in hits[1:]:
+        tol = KEY_EPS * (1.0 + abs(best[0]))
+        if hit[0] < best[0] - tol or (hit[0] <= best[0] + tol and hit[1] < best[1] - KEY_EPS):
+            best = hit
     # a clamped cell boundary may lose fairness to rounding: the probe backs it up
     _, _, rep, probe = best
     return finish_result(

@@ -18,7 +18,9 @@ from fairtopk.core import (
     W_DIFFERENCE,
 )
 from fairtopk import sweep2d
+from fairtopk.generators import random_spec
 from fairtopk.geometry import band_split, dual_line
+from fairtopk.pipeline import brute_select_2d
 from fairtopk.sweep2d import cross_x, line_above, sweep_events, sweep_select
 from conftest import tied_instance
 
@@ -428,3 +430,81 @@ class TestBandSweep:
             assert got.subset == want.subset
             assert got.utility == want.utility
             assert got.engine == want.engine
+
+
+def outward_cases(seed, count, n_lo, n_hi):
+    """(data, k, spec, wo, epsilon) over uniform, 1/4- and 1/8-grid points."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for trial in range(count):
+        n = int(rng.integers(n_lo, n_hi))
+        k = int(rng.integers(2, min(n, 10)))
+        if trial % 3 == 0:
+            data, spec = tied_instance(rng, n=n, k=k, dup_rate=0.0)
+        else:
+            data = grid_instance(rng, n, steps=4 if trial % 3 == 1 else 8)
+            spec = random_spec(rng, data, k, 2)
+        wo = WeightVector(tuple(rng.dirichlet(np.ones(2))))
+        cases.append((data, k, spec, wo, float(rng.uniform(0.05, 0.4))))
+    return cases
+
+
+class TestOutwardOrder:
+    """Positions judged outward from the reference, first fair one per side."""
+
+    @pytest.mark.parametrize("objective", [W_DIFFERENCE, UTILITY_LOSS])
+    def test_matches_brute_force(self, objective):
+        solved = 0
+        for trial, (data, k, spec, wo, eps) in enumerate(outward_cases(97, 150, 8, 31)):
+            region = WeightRegion.box(wo, eps, objective=objective)
+            got = sweep_select(data, k, spec, region)
+            want = brute_select_2d(data, k, spec, region)
+            assert (got is None) == (want is None), trial
+            if want is None:
+                continue
+            solved += 1
+            assert abs(got.value - want.value) <= 1e-9, trial
+            # brute keeps the leftmost of equal keys: never nearer than the sweep
+            assert abs(got.weight[0] - wo[0]) <= abs(want.weight[0] - wo[0]) + 1e-12, trial
+        assert solved > 40
+
+    def test_judges_fewer_positions(self, monkeypatch):
+        judged = Counter()
+        for name in ("verify_fair", "max_fair_utility"):
+            def counted(*args, judge=getattr(sweep2d, name)):
+                judged["positions"] += 1
+                return judge(*args)
+
+            monkeypatch.setattr(sweep2d, name, counted)
+        for data, k, spec, wo, eps in outward_cases(101, 80, 30, 61):
+            for objective in (W_DIFFERENCE, UTILITY_LOSS):
+                sweep_select(data, k, spec, WeightRegion.box(wo, eps, objective=objective))
+        # a left-to-right scan, judging every position up to the first fair
+        # one at or past the reference, judged 766 here; outward, 468
+        assert judged["positions"] <= 0.75 * 766
+
+    def test_equal_utility_keys_resolve_toward_the_reference(self):
+        # utilities near 20, where an absolute 1e-15 is below half the float
+        # spacing; mirroring the points mirrors the sides about wo = (0.5, 0.5),
+        # so an answer resolved toward wo keeps its distance, not its side
+        rng = np.random.default_rng(5)
+        region = WeightRegion.box(WeightVector((0.5, 0.5)), 0.3, objective=UTILITY_LOSS)
+        answered = 0
+        for trial in range(60):
+            n, k = int(rng.integers(30, 46)), int(rng.integers(18, 26))
+            pts = rng.uniform(0.5, 1.0, size=(n, 2))
+            member = rng.random(n) < 0.35
+            data = Dataset([
+                Candidate(i, tuple(p), {0} if m else set()) for i, (p, m) in enumerate(zip(pts, member))
+            ])
+            mirrored = Dataset([Candidate(c.cid, c.point[::-1], c.groups) for c in data.candidates])
+            spec = FairnessSpec(lower=[round(0.35 * k) + 2], upper=[k])
+            got = sweep_select(data, k, spec, region)
+            flip = sweep_select(mirrored, k, spec, region)
+            assert (got is None) == (flip is None), trial
+            if got is None:
+                continue
+            answered += 1
+            assert abs(got.value - flip.value) <= 1e-12, trial
+            assert abs(abs(got.weight[0] - 0.5) - abs(flip.weight[0] - 0.5)) <= 1e-12, trial
+        assert answered > 15

@@ -96,6 +96,7 @@ class Dataset:
         self.group_names = group_names
         self._points = np.array([c.point for c in candidates], dtype=float)
         self._points.setflags(write=False)
+        self._profiles = {}
 
     def __len__(self):
         return len(self.candidates)
@@ -128,6 +129,26 @@ class Dataset:
     def group_member_mask(self, j):
         """Boolean membership vector for group id j, candidate order."""
         return np.array([j in c.groups for c in self.candidates], dtype=bool)
+
+    def profiles(self, n_protected):
+        """(codes, member) over the protected groups 0..n_protected-1.
+
+        codes holds each row's encode_profile in the smallest unsigned dtype
+        that fits, and member the (n_protected, n) uint8 matrix it unpacks
+        to, one membership row per group.  Built on first use, in one pass
+        that encodes each distinct group set once, and kept with the dataset.
+        """
+        view = self._profiles.get(n_protected)
+        if view is None:
+            code_of = {}
+            for c in self.candidates:
+                if c.groups not in code_of:
+                    code_of[c.groups] = encode_profile(c.groups, n_protected)
+            dtype = np.min_scalar_type((1 << n_protected) - 1)
+            codes = np.array([code_of[c.groups] for c in self.candidates], dtype=dtype)
+            member = ((codes >> np.arange(n_protected)[:, None]) & 1).astype(np.uint8)
+            view = self._profiles[n_protected] = codes, member
+        return view
 
     def scores(self, w):
         w = np.asarray(weight_components(w, self.d), dtype=float)

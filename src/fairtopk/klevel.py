@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import BudgetExceededError, UTILITY_LOSS
 from .geometry import CutoffBand, TopkCell, cutoff_band, lift_weight
-from .verify import finish_result, max_fair_utility, verify_fair
+from .verify import TieResolver, finish_result
 
 DEFAULT_SWAP_BUDGET = 5_000_000
 
@@ -121,17 +121,18 @@ def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGE
             work.append(node)
 
     size, crosses, above = band.size.tolist(), band.crosses.tolist(), band.above.tolist()
+    resolver = TieResolver(dataset, k, spec, wo if objective == UTILITY_LOSS else None)
     sols = []  # (objective key, id subset, node, closest cell point)
 
     def evaluate(node):
         ledger.cells_visited += 1
         w_node = lift_weight(node.witness)
         if objective == UTILITY_LOSS:
-            hit = max_fair_utility(dataset, k, spec, w_node, wo)
+            hit = resolver.best(w_node)
             if hit is not None:
                 ledger.fair_cells += 1
                 sols.append((-hit[1], band.subset(node.seats), node, None))
-        elif verify_fair(dataset, k, spec, w_node):
+        elif resolver.fair(w_node):
             cell = TopkCell(band, node.seats).closest()
             if cell is not None:
                 ledger.fair_cells += 1

@@ -38,7 +38,7 @@ from .milp import build_milp, solve_milp
 from .stability import stable_weight
 from .sweep2d import sweep_select
 from .tolerances import KEY_EPS, TIE_EPS
-from .verify import finish_result, max_fair_utility, verify_fair
+from .verify import TieResolver, finish_result
 
 ENGINES = ("auto", "sweep2d", "klevel", "milp")
 KLEVEL_BASE_K = 120.0
@@ -279,12 +279,13 @@ def sample_unfair(dataset, k, spec, count, seed, tried_budget=100_000):
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(seed)
+    resolver = TieResolver(dataset, k, spec)
     hits = []
     tried = 0
     while len(hits) < count and tried < tried_budget:
         w = WeightVector(rng.dirichlet(np.ones(dataset.d)))
         tried += 1
-        if not verify_fair(dataset, k, spec, w):
+        if not resolver.fair(w):
             hits.append(w)
     report = SampleReport(weights=tuple(hits), tried=tried, found=len(hits), seed=seed)
     if len(hits) < count:
@@ -414,7 +415,10 @@ def brute_select_2d(dataset, k, spec, region):
     Positions: region endpoints, the reference abscissa, every pairwise
     score-line crossing inside the region, and midpoints between
     consecutive positions.  Exact for the closed-cell semantics because
-    every cell and every cell boundary contributes a position.
+    every cell and every cell boundary contributes a position.  A cell is
+    probed at its midpoint and represented by its point nearest the
+    reference abscissa wo_x, as sweep_select does; keys equal within
+    KEY_EPS relative to 1 + |key| resolve toward wo_x, then to the left.
     """
     if dataset.d != 2:
         raise ValueError("brute_select_2d needs exactly two attributes")
@@ -444,26 +448,31 @@ def brute_select_2d(dataset, k, spec, region):
     probes = [(x, x) for x in order]
     for a, b in zip(order, order[1:]):
         if b - a > KEY_EPS:
-            rep = min(max(wo_x, a), b) if objective == W_DIFFERENCE else 0.5 * (a + b)
-            probes.append((0.5 * (a + b), rep))
+            probes.append((0.5 * (a + b), min(max(wo_x, a), b)))
+    probes.sort(key=lambda p: p[1])  # left to right by rep, positions first
 
+    resolver = TieResolver(dataset, k, spec, None if objective == W_DIFFERENCE else wo)
     best = None
     for probe, rep in probes:
         w_probe = WeightVector((probe, 1.0 - probe))
         if objective == W_DIFFERENCE:
-            if not verify_fair(dataset, k, spec, w_probe):
+            if not resolver.fair(w_probe):
                 continue
             key = 2.0 * abs(rep - wo_x)
         else:
-            hit = max_fair_utility(dataset, k, spec, w_probe, wo)
+            hit = resolver.best(w_probe)
             if hit is None:
                 continue
             key = -hit[1]
-        if best is None or key < best[0] - KEY_EPS:
-            best = (key, rep, probe)
+        dist = abs(rep - wo_x)
+        if best is not None:
+            tol = KEY_EPS * (1.0 + abs(best[0]))
+            if key > best[0] + tol or (key >= best[0] - tol and dist >= best[1] - KEY_EPS):
+                continue
+        best = (key, dist, rep, probe)
     if best is None:
         return None
-    _, rep, probe = best
+    _, _, rep, probe = best
     weights = [WeightVector((x, 1.0 - x)) for x in (rep, probe)]
     return finish_result(dataset, k, spec, region, weights, "brute2d")
 

@@ -11,8 +11,8 @@ part in an exchange, so the walk holds the band lines alone.  Positions
 are judged outward from the reference (Asudeh, Jagadish, Stoyanovich and
 Das, Designing fair ranking schemes, 2019), and the walk stops past the
 first fair one on its right.  Fairness at a judged position is delegated
-to the verify module, which owns tie handling and always sees the full
-dataset.
+to the verify module, which owns tie handling; its resolver holds the rows
+that can reach the cutoff anywhere in the interval.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from functools import cmp_to_key
 
 import numpy as np
 
-from .core import W_DIFFERENCE
+from .core import W_DIFFERENCE, WeightVector
 from .geometry import band_split, dual_line, lift_weight
 from .tolerances import KEY_EPS
-from .verify import finish_result, max_fair_utility, verify_fair
+from .verify import TieResolver, finish_result
 
 
 def cross_x(a, b):
@@ -56,6 +56,13 @@ def line_above(a, b, x):
 class SweepEvent:
     x: float
     swaps: tuple  # ((out_owner, in_owner), ...)
+
+
+def weight_at(x):
+    """lift_weight([x]) without its numpy calls: on [0, 1] lifting clips
+    nothing, so (x, 1 - x) is the same vector.  Abscissae a vertex solve put
+    just outside go through lift_weight's clip."""
+    return WeightVector((x, 1.0 - x)) if 0.0 <= x <= 1.0 else lift_weight([x])
 
 
 def sweep_events(dataset, k, x0, x_end, rows=None):
@@ -154,6 +161,9 @@ def sweep_select(dataset, k, spec, region):
     # more than TIE_EPS everywhere, so every exchange is between band lines
     band = np.flatnonzero(~(sure_in | sure_out))
     events = sweep_events(dataset, k - int(sure_in.sum()), lb, ub, band)
+    resolver = TieResolver(
+        dataset, k, spec, None if objective == W_DIFFERENCE else wo, np.flatnonzero(~sure_out)
+    )
 
     def positions():
         """(rep, probe) left to right: a cell is probed at its midpoint and
@@ -193,12 +203,12 @@ def sweep_select(dataset, k, spec, region):
         """(key, distance, rep, probe) of the side's first fair position;
         key = objective value (wdiff) or -utility."""
         for rep, probe in side:
-            w_probe = lift_weight([probe])
+            w_probe = weight_at(probe)
             if objective == W_DIFFERENCE:
-                if verify_fair(dataset, k, spec, w_probe):
+                if resolver.fair(w_probe):
                     return 2.0 * abs(rep - wo_x), abs(rep - wo_x), rep, probe
             else:
-                hit = max_fair_utility(dataset, k, spec, w_probe, wo)
+                hit = resolver.best(w_probe)
                 if hit is not None:
                     return -hit[1], abs(rep - wo_x), rep, probe
         return None
@@ -214,6 +224,4 @@ def sweep_select(dataset, k, spec, region):
             best = hit
     # a clamped cell boundary may lose fairness to rounding: the probe backs it up
     _, _, rep, probe = best
-    return finish_result(
-        dataset, k, spec, region, [lift_weight([rep]), lift_weight([probe])], "sweep2d"
-    )
+    return finish_result(dataset, k, spec, region, [weight_at(rep), weight_at(probe)], "sweep2d")

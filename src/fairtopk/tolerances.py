@@ -12,10 +12,10 @@ SIMPLEX_SUM_TOL = 1e-12
 FEAS_TOL = 1e-9
 # a coefficient, row norm or objective step at most this is zero
 ZERO = 1e-12
-# float rounding only: sweep positions this close are equal.  sweep2d scales it
-# by 1 + |key| to compare objective keys, as a utility key of 16 or more is
-# spaced wider than 2 * KEY_EPS; verify and brute_select_2d compare keys with it
-# absolutely
+# float rounding only: sweep positions this close are equal.  sweep2d and
+# brute_select_2d scale it by 1 + |key| to compare objective keys, as a utility
+# key of 16 or more is spaced wider than 2 * KEY_EPS; verify compares keys with
+# it absolutely
 KEY_EPS = 1e-15
 # a fraction times k this close to an integer rounds to it: exact count/k bounds
 FRACTION_EPS = 1e-9

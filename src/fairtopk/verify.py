@@ -6,12 +6,23 @@ interchangeable, so verification reduces to distributing the slack (the
 tied seats) over membership profiles: bitmasks of protected-group
 membership.  A bounded backtracking search over those integer assignments
 decides the question without enumerating individual candidates.
+
+One TieResolver answers one query (dataset, k, spec, reference weight) at
+any number of weights.  The spec is validated and the dataset's profile
+codes and membership matrix (core.Dataset.profiles) are looked up once per
+query; per weight it decomposes the top-k cut into strict and tied rows,
+counts the strict part with one membership sum and the few tied rows by
+their cached codes, and lists the tied members and searches their seats
+only when those counts pass the reach test.  verify_fair,
+fair_topk_witness, max_fair_utility and finish_result are resolver calls,
+and the engines hold one resolver per query across all their weights.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -21,10 +32,7 @@ from .core import (
     FairResult,
     UTILITY_LOSS,
     W_DIFFERENCE,
-    encode_profile,
-    group_counts,
     is_fair_counts,
-    subset_utility,
     utility_loss,
     w_difference,
     weight_components,
@@ -32,59 +40,100 @@ from .core import (
 from .tolerances import KEY_EPS, TIE_EPS
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class TieDecomposition:
     """Top-k cut of the score order with the tie band made explicit.
 
+    strict_rows are the dataset rows scoring more than TIE_EPS above the
+    pivot score and band_rows those within TIE_EPS of it, each with its
+    scores and in no set order.  The id views are built on first read:
     order is the canonical top-k subset, its ids sorted by (score desc,
-    id asc).  strict holds the ids scoring strictly above the pivot band,
-    tied_in the remaining members of the canonical top-k, tied_out the
-    non-members inside the band; each is in that same order.
+    id asc); strict holds the ids of strict_rows, tied_in the remaining
+    members of the canonical top-k, tied_out the non-members inside the
+    band; each is in that same order.
     """
 
-    order: tuple
-    strict: tuple
-    tied_in: tuple
-    tied_out: tuple
-    pivot: int
+    dataset: object
+    strict_rows: np.ndarray
+    strict_scores: np.ndarray
+    band_rows: np.ndarray
+    band_scores: np.ndarray
     pivot_score: float
     slack: int
 
-    @property
+    @cached_property
+    def ranked_strict_rows(self):
+        return _ranked(self.dataset, self.strict_rows, self.strict_scores)
+
+    @cached_property
+    def tied_rows(self):
+        """band_rows in (score desc, id asc) order: tied_in's rows, then tied_out's."""
+        return _ranked(self.dataset, self.band_rows, self.band_scores)
+
+    @cached_property
+    def strict(self):
+        return _ids(self.dataset, self.ranked_strict_rows)
+
+    @cached_property
     def tied(self):
-        return self.tied_in + self.tied_out
+        return _ids(self.dataset, self.tied_rows)
+
+    @property
+    def tied_in(self):
+        return self.tied[: self.slack]
+
+    @property
+    def tied_out(self):
+        return self.tied[self.slack:]
+
+    @property
+    def order(self):
+        return self.strict + self.tied_in
+
+    @property
+    def pivot(self):
+        return self.order[-1]
 
 
-def decompose_topk(dataset, k, w):
+def decompose_topk(dataset, k, w, rows=None):
     """Deterministic tie decomposition of the top-k cut under w.
 
-    Linear in n: the pivot score comes from a partition, and only the
-    strict part and the tie band are sorted.
+    Linear in n: the pivot score comes from a partition, and nothing is
+    sorted until an id view is read.  rows, an index array, restricts the
+    cut to those dataset rows; it is the cut over all rows when rows holds
+    every row scoring within TIE_EPS of the pivot or above it.
     """
-    n = len(dataset)
+    points = dataset.points if rows is None else dataset.points[rows]
+    n = len(points)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside 1..{n}")
-    scores = dataset.scores(w)
+    scores = points @ np.asarray(weight_components(w, dataset.d), dtype=float)
     pivot_score = float(np.partition(scores, n - k)[n - k])
-    strict = _ranked(dataset, scores, np.flatnonzero(scores > pivot_score + TIE_EPS))
-    band = _ranked(dataset, scores, np.flatnonzero(np.abs(scores - pivot_score) <= TIE_EPS))
-    order = strict + band[: k - len(strict)]
+    strict = (scores > pivot_score + TIE_EPS).nonzero()[0]
+    band = (np.abs(scores - pivot_score) <= TIE_EPS).nonzero()[0]
     return TieDecomposition(
-        order=order,
-        strict=strict,
-        tied_in=order[len(strict):],
-        tied_out=band[k - len(strict):],
-        pivot=order[-1],
+        dataset=dataset,
+        strict_rows=strict if rows is None else rows[strict],
+        strict_scores=scores[strict],
+        band_rows=band if rows is None else rows[band],
+        band_scores=scores[band],
         pivot_score=pivot_score,
         slack=k - len(strict),
     )
 
 
-def _ranked(dataset, scores, rows):
-    """Ids at rows sorted by (score desc, id asc)."""
+def _ranked(dataset, rows, scores):
+    """rows sorted by (score desc, id asc)."""
+    if len(rows) < 2:
+        return rows
+    return rows[np.lexsort((dataset.id_array[rows], -scores))]
+
+
+def _ids(dataset, rows):
+    """The dataset's own id objects at rows: fresh ints would cost memory
+    wherever answers are kept."""
     ids = dataset.ids
-    perm = np.lexsort((dataset.id_array[rows], -scores[rows]))
-    return tuple(ids[i] for i in rows[perm].tolist())
+    return tuple(ids[i] for i in rows.tolist())
 
 
 @dataclass
@@ -95,7 +144,9 @@ class ProfileTally:
     avail maps profile code -> number of tied candidates carrying it, and
     prefix maps profile code -> descending-reference-score prefix sums over
     those candidates (prefix[p][m] = best utility of m picks), present only
-    when a reference weight was supplied.
+    when a reference weight was supplied.  members maps profile code -> the
+    tied ids carrying it, in id order, or in prefix order with a reference.
+    counts builds base and avail alone; add_members fills the rest.
     """
 
     n_protected: int
@@ -106,35 +157,46 @@ class ProfileTally:
 
     @classmethod
     def from_decomposition(cls, dataset, decomp, n_protected, wo=None):
-        base = group_counts(dataset, decomp.strict, n_protected)
-        avail, members = {}, {}
-        for cid in decomp.tied:
-            code = encode_profile(dataset.by_id(cid).groups, n_protected)
+        tally = cls.counts(dataset, decomp, n_protected)
+        tally.add_members(dataset, decomp, wo)
+        return tally
+
+    @classmethod
+    def counts(cls, dataset, decomp, n_protected):
+        """base and avail alone, all that the reach test reads: one
+        membership sum over the strict rows and the tied rows' cached codes."""
+        codes, member = dataset.profiles(n_protected)
+        base = tuple(member.take(decomp.strict_rows, axis=1).sum(axis=1).tolist())
+        avail = {}
+        for code in codes[decomp.band_rows].tolist():
             avail[code] = avail.get(code, 0) + 1
-            members.setdefault(code, []).append(cid)
-        prefix = None
-        if wo is not None:
-            wo_arr = np.asarray(weight_components(wo, dataset.d))
-            rows = [dataset._index_of(c) for c in decomp.tied]
-            ref = dict(zip(decomp.tied, (dataset.points[rows] @ wo_arr).tolist()))
-            prefix = {}
-            for code, cids in members.items():
-                scored = sorted(cids, key=lambda c: (-ref[c], c))
-                members[code] = scored
-                sums = [0.0]
-                for c in scored:
-                    sums.append(sums[-1] + ref[c])
-                prefix[code] = tuple(sums)
+        return cls(n_protected=n_protected, base=base, avail=avail)
+
+    def add_members(self, dataset, decomp, wo=None):
+        """Fill members, and prefix when wo is given."""
+        codes, _ = dataset.profiles(self.n_protected)
+        # reference scores are taken over the ranked tied rows, whose order
+        # a one-row product can round differently from a longer one
+        rows = decomp.band_rows if wo is None else decomp.tied_rows
+        ids = dataset.ids
+        members = {}
+        for row, code in zip(rows.tolist(), codes[rows].tolist()):
+            members.setdefault(code, []).append(row)
+        if wo is None:
+            for code, got in members.items():
+                members[code] = sorted(ids[r] for r in got)
         else:
-            for code in members:
-                members[code] = sorted(members[code])
-        return cls(
-            n_protected=n_protected,
-            base=base,
-            avail=avail,
-            prefix=prefix,
-            members=members,
-        )
+            wo_arr = np.asarray(weight_components(wo, dataset.d))
+            ref = dict(zip(rows.tolist(), (dataset.points[rows] @ wo_arr).tolist()))
+            self.prefix = {}
+            for code, got in members.items():
+                scored = sorted(got, key=lambda r: (-ref[r], ids[r]))
+                members[code] = [ids[r] for r in scored]
+                sums = [0.0]
+                for r in scored:
+                    sums.append(sums[-1] + ref[r])
+                self.prefix[code] = tuple(sums)
+        self.members = members
 
 
 @dataclass
@@ -280,40 +342,86 @@ def _group_interval_prune(tally, slack, spec):
     return True
 
 
-def _resolve(dataset, k, spec, w, wo=None):
-    """The one tie-resolution path: (decomp, tally, hit), or None if unfair.
+class TieResolver:
+    """Exact tie resolution of one query at any number of weights.
 
-    Validates, decomposes the top-k cut under w, tallies the tied part by
-    profile and settles the cases without open seats or with a failed
-    reach test.  Only then are the tied seats searched: without wo, hit is
-    backtrack_tiebreak's first fair assignment; with wo, the tally carries
-    reference prefix sums and hit is max_utility_tiebreak's (assignment,
-    tied utility).  hit is None when the strict part fills every seat.
+    Built once per (dataset, k, spec, reference weight wo), where the spec
+    is validated.  rows, an index array, restricts every cut to those
+    dataset rows; it must hold every row that scores within TIE_EPS of the
+    pivot or above it at each weight asked about, so the cut is the one
+    over all rows (sweep2d passes the rows band_split does not mark
+    sure-out).  Without wo the tied seats go to backtrack_tiebreak's first
+    fair assignment; with wo the tally carries reference prefix sums and
+    they go to max_utility_tiebreak's best one.
     """
-    spec.validate(k)
-    decomp = decompose_topk(dataset, k, w)
-    tally = ProfileTally.from_decomposition(dataset, decomp, spec.n_protected, wo=wo)
-    if decomp.slack == 0:
-        return (decomp, tally, None) if is_fair_counts(tally.base, spec) else None
-    if not _group_interval_prune(tally, decomp.slack, spec):
-        return None
-    if wo is None:
-        hit = backtrack_tiebreak(tally, decomp.slack, spec)
-    else:
-        hit = max_utility_tiebreak(tally, decomp.slack, spec, wo)
-    return None if hit is None else (decomp, tally, hit)
+
+    def __init__(self, dataset, k, spec, wo=None, rows=None):
+        spec.validate(k)
+        self.dataset, self.k, self.spec, self.wo, self.rows = dataset, k, spec, wo, rows
+
+    def resolve(self, w):
+        """(decomp, tally, assignment, tied utility) at w, or None if w is unfair.
+
+        Decomposes the top-k cut under w and counts the tied part by
+        profile; the cases without open seats or with a failed reach test are
+        settled from the counts alone, and only then are the tied members
+        listed and their seats searched.  assignment maps profile code ->
+        tied seats; the tied utility is 0.0 without wo.
+        """
+        spec = self.spec
+        decomp = decompose_topk(self.dataset, self.k, w, self.rows)
+        tally = ProfileTally.counts(self.dataset, decomp, spec.n_protected)
+        if decomp.slack == 0:
+            if not is_fair_counts(tally.base, spec):
+                return None
+        elif not _group_interval_prune(tally, decomp.slack, spec):
+            return None
+        tally.add_members(self.dataset, decomp, self.wo)
+        if decomp.slack == 0:
+            hit = {}, 0.0
+        elif self.wo is None:
+            assignment = backtrack_tiebreak(tally, decomp.slack, spec)
+            hit = None if assignment is None else (assignment, 0.0)
+        else:
+            hit = max_utility_tiebreak(tally, decomp.slack, spec, self.wo)
+        return None if hit is None else (decomp, tally, *hit)
+
+    def fair(self, w):
+        """Is some top-k subset under w inside every group-count interval."""
+        return self.resolve(w) is not None
+
+    def witness(self, w):
+        """A fair top-k id subset under w, sorted, or None when w is unfair."""
+        found = self.resolve(w)
+        return None if found is None else _materialize(*found[:3])
+
+    def best(self, w):
+        """(witness, total reference utility) of the best fair tie choice at w,
+        or None when w is unfair.  The strict part contributes its full
+        utility, summed in (score desc, id asc) order."""
+        if self.wo is None:
+            raise ValueError("resolver was built without a reference weight")
+        found = self.resolve(w)
+        if found is None:
+            return None
+        decomp, tally, assignment, tied_util = found
+        rows = decomp.ranked_strict_rows
+        wo_arr = np.asarray(weight_components(self.wo, self.dataset.d))
+        strict_util = float((self.dataset.points[rows] @ wo_arr).sum()) if len(rows) else 0.0
+        return _materialize(decomp, tally, assignment), strict_util + tied_util
 
 
 def _materialize(decomp, tally, assignment):
-    chosen = list(decomp.strict)
-    for code, m in (assignment or {}).items():
+    ids = decomp.dataset.ids
+    chosen = [ids[i] for i in decomp.strict_rows.tolist()]
+    for code, m in assignment.items():
         chosen.extend(tally.members[code][:m])
     return tuple(sorted(chosen))
 
 
 def verify_fair(dataset, k, spec, w):
     """Is some top-k subset under w inside every group-count interval."""
-    return _resolve(dataset, k, spec, w) is not None
+    return TieResolver(dataset, k, spec).fair(w)
 
 
 def fair_topk_witness(dataset, k, spec, w, objective=UTILITY_LOSS):
@@ -324,8 +432,7 @@ def fair_topk_witness(dataset, k, spec, w, objective=UTILITY_LOSS):
     the same under w itself.  objective is accepted and ignored;
     max_fair_utility gives the best-utility witness for a reference weight.
     """
-    found = _resolve(dataset, k, spec, w)
-    return None if found is None else _materialize(*found)
+    return TieResolver(dataset, k, spec).witness(w)
 
 
 def max_fair_utility(dataset, k, spec, w, wo):
@@ -334,13 +441,7 @@ def max_fair_utility(dataset, k, spec, w, wo):
     Returns None when w is unfair.  The strict part contributes its full
     utility; the tied seats are assigned by max_utility_tiebreak.
     """
-    found = _resolve(dataset, k, spec, w, wo)
-    if found is None:
-        return None
-    decomp, tally, hit = found
-    assignment, tied_util = hit or ({}, 0.0)
-    strict_util = subset_utility(dataset, decomp.strict, wo)
-    return _materialize(decomp, tally, assignment), strict_util + tied_util
+    return TieResolver(dataset, k, spec, wo).best(w)
 
 
 def reference_topk_utility(dataset, k, wo):
@@ -354,19 +455,23 @@ def finish_result(dataset, k, spec, region, weights, engine):
 
     Engines hand over their candidate weights in order of preference;
     witness, value and utility are always recomputed here, so every engine
-    reports its numbers from this one code path.
+    reports its numbers from this one code path.  Its resolver keeps every
+    row: region.contains accepts weights up to FEAS_TOL outside the region,
+    where an engine's row restriction need not hold.
     """
     wo = region.reference
+    wdiff = region.objective == W_DIFFERENCE
+    resolver = TieResolver(dataset, k, spec, None if wdiff else wo)
     for weight in weights:
         if not region.contains(weight):
             continue
-        if region.objective == W_DIFFERENCE:
-            witness = fair_topk_witness(dataset, k, spec, weight)
+        if wdiff:
+            witness = resolver.witness(weight)
             if witness is None:
                 continue
             util, value = None, w_difference(weight, wo)
         else:
-            hit = max_fair_utility(dataset, k, spec, weight, wo)
+            hit = resolver.best(weight)
             if hit is None:
                 continue
             witness, util = hit
@@ -375,7 +480,7 @@ def finish_result(dataset, k, spec, region, weights, engine):
             weight=weight,
             objective=region.objective,
             value=value,
-            subset=tuple(sorted(witness)),
+            subset=witness,
             engine=engine,
             utility=util,
         )

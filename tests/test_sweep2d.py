@@ -19,9 +19,10 @@ from fairtopk.core import (
 )
 from fairtopk import sweep2d
 from fairtopk.generators import random_spec
-from fairtopk.geometry import band_split, dual_line
+from fairtopk.geometry import band_split, dual_line, lift_weight, region_interval
 from fairtopk.pipeline import brute_select_2d
-from fairtopk.sweep2d import cross_x, line_above, sweep_events, sweep_select
+from fairtopk.sweep2d import cross_x, line_above, sweep_events, sweep_select, weight_at
+from fairtopk.verify import TieResolver
 from conftest import tied_instance
 
 
@@ -464,18 +465,19 @@ class TestOutwardOrder:
                 continue
             solved += 1
             assert abs(got.value - want.value) <= 1e-9, trial
-            # brute keeps the leftmost of equal keys: never nearer than the sweep
+            # brute resolves equal keys as the sweep does: never nearer than it
             assert abs(got.weight[0] - wo[0]) <= abs(want.weight[0] - wo[0]) + 1e-12, trial
         assert solved > 40
 
     def test_judges_fewer_positions(self, monkeypatch):
         judged = Counter()
-        for name in ("verify_fair", "max_fair_utility"):
-            def counted(*args, judge=getattr(sweep2d, name)):
-                judged["positions"] += 1
-                return judge(*args)
 
-            monkeypatch.setattr(sweep2d, name, counted)
+        class Counted(sweep2d.TieResolver):
+            def resolve(self, w):
+                judged["positions"] += 1
+                return super().resolve(w)
+
+        monkeypatch.setattr(sweep2d, "TieResolver", Counted)
         for data, k, spec, wo, eps in outward_cases(101, 80, 30, 61):
             for objective in (W_DIFFERENCE, UTILITY_LOSS):
                 sweep_select(data, k, spec, WeightRegion.box(wo, eps, objective=objective))
@@ -487,18 +489,10 @@ class TestOutwardOrder:
         # utilities near 20, where an absolute 1e-15 is below half the float
         # spacing; mirroring the points mirrors the sides about wo = (0.5, 0.5),
         # so an answer resolved toward wo keeps its distance, not its side
-        rng = np.random.default_rng(5)
         region = WeightRegion.box(WeightVector((0.5, 0.5)), 0.3, objective=UTILITY_LOSS)
         answered = 0
-        for trial in range(60):
-            n, k = int(rng.integers(30, 46)), int(rng.integers(18, 26))
-            pts = rng.uniform(0.5, 1.0, size=(n, 2))
-            member = rng.random(n) < 0.35
-            data = Dataset([
-                Candidate(i, tuple(p), {0} if m else set()) for i, (p, m) in enumerate(zip(pts, member))
-            ])
+        for trial, (data, k, spec) in enumerate(equal_utility_draws(60)):
             mirrored = Dataset([Candidate(c.cid, c.point[::-1], c.groups) for c in data.candidates])
-            spec = FairnessSpec(lower=[round(0.35 * k) + 2], upper=[k])
             got = sweep_select(data, k, spec, region)
             flip = sweep_select(mirrored, k, spec, region)
             assert (got is None) == (flip is None), trial
@@ -508,3 +502,80 @@ class TestOutwardOrder:
             assert abs(got.value - flip.value) <= 1e-12, trial
             assert abs(abs(got.weight[0] - 0.5) - abs(flip.weight[0] - 0.5)) <= 1e-12, trial
         assert answered > 15
+
+    def test_brute_resolves_equal_keys_as_the_sweep(self):
+        # a cell stands for its point nearest wo_x in both, and equal keys
+        # resolve toward wo_x: brute once kept the leftmost, as far as 0.4588
+        region = WeightRegion.box(WeightVector((0.5, 0.5)), 0.3, objective=UTILITY_LOSS)
+        answered = 0
+        for trial, (data, k, spec) in enumerate(equal_utility_draws(25)):
+            got = sweep_select(data, k, spec, region)
+            want = brute_select_2d(data, k, spec, region)
+            assert (got is None) == (want is None), trial
+            if got is None:
+                continue
+            answered += 1
+            assert abs(got.value - want.value) <= 1e-12, trial
+            assert abs(got.weight[0] - want.weight[0]) <= 1e-12, trial
+        assert answered >= 8
+
+
+def equal_utility_draws(count):
+    """(data, k, spec) whose fair answers tie in utility near 20, seeded."""
+    rng = np.random.default_rng(5)
+    for _ in range(count):
+        n, k = int(rng.integers(30, 46)), int(rng.integers(18, 26))
+        pts = rng.uniform(0.5, 1.0, size=(n, 2))
+        member = rng.random(n) < 0.35
+        data = Dataset([
+            Candidate(i, tuple(p), {0} if m else set()) for i, (p, m) in enumerate(zip(pts, member))
+        ])
+        yield data, k, FairnessSpec(lower=[round(0.35 * k) + 2], upper=[k])
+
+
+class TestReachRows:
+    """Positions are resolved over the rows band_split does not mark sure-out."""
+
+    @pytest.mark.parametrize("objective", [W_DIFFERENCE, UTILITY_LOSS])
+    def test_equals_all_rows_at_every_position(self, objective):
+        rng = np.random.default_rng(131)
+        restricted = positions = 0
+        for trial in range(150):
+            n = int(rng.integers(20, 80))
+            k = int(rng.integers(2, min(n, 16)))
+            dup_rate = float(rng.uniform(0.15, 0.4))
+            if trial % 3 == 0:
+                data, spec = tied_instance(rng, n=n, k=k, dup_rate=dup_rate)
+            else:
+                data = grid_instance(rng, n, steps=4 if trial % 3 == 1 else 8)
+                spec = random_spec(rng, data, k, 2)
+            wo = WeightVector(tuple(rng.dirichlet(np.ones(2))))
+            region = WeightRegion.box(wo, float(rng.uniform(0.05, 0.4)), objective=objective)
+            verts, sure_in, sure_out, _, _ = band_split(data.points, k, region)
+            lb, ub = float(verts[0, 0]), float(verts[-1, 0])
+            band = np.flatnonzero(~(sure_in | sure_out))
+            events = sweep_events(data, k - int(sure_in.sum()), lb, ub, band)
+            xs = [lb] + [ev.x for ev in events] + [ub]
+            xs += [0.5 * (a + b) for a, b in zip(xs, xs[1:])]  # cell probes
+            ref = None if objective == W_DIFFERENCE else wo
+            reach = TieResolver(data, k, spec, ref, np.flatnonzero(~sure_out))
+            every = TieResolver(data, k, spec, ref)
+            restricted += bool(sure_out.any())
+            for x in xs:
+                w = weight_at(x)
+                if ref is None:
+                    assert reach.witness(w) == every.witness(w), (trial, x)
+                else:
+                    assert reach.best(w) == every.best(w), (trial, x)
+                positions += 1
+        assert restricted > 100 and positions > 1200
+
+
+def test_weight_at_is_lift_weight():
+    rng = np.random.default_rng(17)
+    xs = rng.random(200).tolist() + [0.0, 1.0, -0.0, -5e-10, 1.0 + 5e-10]
+    for _ in range(100):
+        wo = WeightVector(tuple(rng.dirichlet(np.ones(2))))
+        xs.extend(region_interval(WeightRegion.box(wo, float(rng.uniform(0.01, 0.6)))))
+    for x in xs:
+        assert weight_at(x).weights == lift_weight([x]).weights, x

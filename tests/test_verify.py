@@ -82,6 +82,19 @@ class TestDecompose:
         own = {id(c) for c in data.ids}
         assert all(id(c) in own for c in decomp.order + decomp.tied_out)
 
+    def test_witness_ids_are_the_datasets_own(self):
+        # answers are kept per round, so fresh ints would cost memory each round
+        rng = np.random.default_rng(5)
+        data, _ = tied_instance(rng, n=30, dup_rate=0.5)
+        data = Dataset(Candidate(10**9 + c.cid, c.point, c.groups) for c in data.candidates)
+        own = {id(c) for c in data.ids}
+        spec = FairnessSpec.vacuous(2, 7)
+        w = WeightVector((0.4, 0.6))
+        assert decompose_topk(data, 7, w).slack > 0
+        for witness in (fair_topk_witness(data, 7, spec, w),
+                        max_fair_utility(data, 7, spec, w, WeightVector((0.7, 0.3)))[0]):
+            assert len(witness) == 7 and all(id(c) in own for c in witness)
+
     def test_duplicate_points_share_the_band(self):
         cands = [Candidate(i, (0.5, 0.5), set()) for i in range(4)]
         cands.append(Candidate(4, (0.9, 0.9), set()))

@@ -123,13 +123,6 @@ class Dataset:
             self._id_index = idx
         return idx[cid]
 
-    def subset(self, ids):
-        return Dataset([self.candidates[self._index_of(i)] for i in ids], self.group_names)
-
-    def group_member_mask(self, j):
-        """Boolean membership vector for group id j, candidate order."""
-        return np.array([j in c.groups for c in self.candidates], dtype=bool)
-
     def profiles(self, n_protected):
         """(codes, member) over the protected groups 0..n_protected-1.
 
@@ -209,11 +202,6 @@ class WeightVector:
         return self.weights[i]
 
 
-def score(point, w):
-    """Linear score of one attribute vector under w."""
-    return float(np.dot(point, weight_components(w, len(point))))
-
-
 def subset_utility(dataset, ids, wo):
     w = np.asarray(weight_components(wo, dataset.d))
     rows = [dataset._index_of(i) for i in ids]
@@ -249,12 +237,6 @@ def encode_profile(groups, n_protected):
         if 0 <= g < n_protected:
             code |= 1 << g
     return code
-
-
-def decode_profile(code, n_protected):
-    if code < 0 or code >> n_protected:
-        raise ValueError(f"profile code {code} out of range for {n_protected} groups")
-    return frozenset(j for j in range(n_protected) if code >> j & 1)
 
 
 @dataclass(frozen=True)
@@ -392,7 +374,12 @@ class WeightRegion:
 
 @dataclass
 class FairResult:
-    """A fair weight vector with its witness subset and objective value."""
+    """A fair weight vector with its witness subset and objective value.
+
+    band is the geometry.CutoffBand the klevel or milp engine searched,
+    handed on so the stability step centres over it; None for sweep2d
+    answers and for a fair in-region reference reported without a search.
+    """
 
     weight: WeightVector
     objective: str
@@ -403,3 +390,4 @@ class FairResult:
     stable_weight: WeightVector = None
     margin: float = None
     extras: dict = field(default_factory=dict)
+    band: object = field(default=None, compare=False, repr=False)

@@ -189,8 +189,7 @@ def random_spec(rng, dataset, k, n_protected):
     """Count intervals drawn around the group sizes so many are feasible."""
     lower, upper = [], []
     n = len(dataset)
-    for j in range(n_protected):
-        size = int(dataset.group_member_mask(j).sum())
+    for size in dataset.profiles(n_protected)[1].sum(axis=1).tolist():
         center = size / max(n, 1) * k
         lo = max(0, int(np.floor(center - rng.integers(0, 2))))
         hi = min(k, int(np.ceil(center + rng.integers(0, 2))))

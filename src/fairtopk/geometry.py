@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LpStallError, WeightVector, weight_components
+from .core import LpStallError, WeightVector
 from .tolerances import (
     FEAS_TOL, PHASE_ONE_GAP, PHASE_ONE_TOL, PIVOT_TOL, RATIO_TIE, REDUCED_COST_TOL, RHS_SNAP,
     TIE_EPS, ZERO,
@@ -27,12 +27,6 @@ from .tolerances import (
 # ----------------------------------------------------------------------
 # projection between the simplex and its first d-1 coordinates
 # ----------------------------------------------------------------------
-
-def project_weight(w):
-    """Drop the last component."""
-    comps = weight_components(w)
-    return np.asarray(comps[:-1], dtype=float)
-
 
 def lift_weight(y):
     """Recover the full vector; the last component closes the simplex sum.
@@ -440,6 +434,10 @@ class CutoffBand:
     so that moving a seat between them can change the top-k there, and
     above[a, b] whether class a scores above class b at every weight in
     the region.
+
+    One band serves one query: the klevel and milp engines build it and
+    hand it back on their FairResult (FairResult.band), and
+    stability.stable_weight centres the answer's cell over it.
     """
 
     def __init__(self, dataset, k, region):
@@ -485,20 +483,6 @@ class CutoffBand:
         for c, s in enumerate(seats):
             out += sorted(ids[self.rows[self.cls == c]].tolist())[:s]
         return tuple(sorted(out))
-
-
-_last_band = None
-
-
-def cutoff_band(dataset, k, region):
-    """CutoffBand(dataset, k, region), or the last band this built when that
-    was for the same dataset and region objects and the same k: an engine
-    and the stable_weight after it share one band."""
-    global _last_band
-    band = _last_band
-    if band is None or band.dataset is not dataset or band.region is not region or band.k != k:
-        band = _last_band = CutoffBand(dataset, k, region)
-    return band
 
 
 class TopkCell:

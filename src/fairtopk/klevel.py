@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BudgetExceededError, UTILITY_LOSS
-from .geometry import CutoffBand, TopkCell, cutoff_band, lift_weight
+from .geometry import CutoffBand, TopkCell, lift_weight
 from .verify import TieResolver, finish_result
 
 DEFAULT_SWAP_BUDGET = 5_000_000
@@ -60,16 +60,6 @@ class TraversalLedger:
     fair_cells: int = 0
 
 
-def initial_cell(dataset, k, region, witness=None):
-    """Cell containing a witness (default: the region vertex centroid)."""
-    band = CutoffBand(dataset, k, region)
-    if witness is None:
-        if not len(band.verts):
-            return None
-        witness = band.centroid
-    return _seed_node(band, witness)
-
-
 def _seed_node(band, witness):
     """The node of the top k at a projected witness: the first k rows by
     (score desc, id asc), which is decompose_topk's order there."""
@@ -91,7 +81,8 @@ def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGE
     counts one cell LP per distinct seat tuple a move reaches and the
     band's order leaves open (ledger.pruned_by_order the others); more than
     swap_budget of them raise BudgetExceededError with the best so far as
-    partial.  workers is accepted and ignored: the walk is serial (see the
+    partial.  The result, partial or not, carries the walk's CutoffBand as
+    its band.  workers is accepted and ignored: the walk is serial (see the
     module docstring).
     """
     spec.validate(k)
@@ -101,7 +92,7 @@ def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGE
         )
     if ledger is None:
         ledger = TraversalLedger()
-    band = cutoff_band(dataset, k, region)
+    band = CutoffBand(dataset, k, region)
     if not len(band.verts):
         return None
     objective = region.objective
@@ -191,7 +182,7 @@ def traverse(dataset, k, spec, region, workers=1, swap_budget=DEFAULT_SWAP_BUDGE
         weights = [lift_weight(node.witness)]
         if point is not None:
             weights.insert(0, point)
-        result = finish_result(dataset, k, spec, region, weights, "klevel")
+        result = finish_result(dataset, k, spec, region, weights, "klevel", band)
     if not within_budget:
         raise BudgetExceededError(
             f"swap budget {swap_budget} exceeded after {ledger.cells_visited} cells",

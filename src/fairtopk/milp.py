@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import BudgetExceededError, W_DIFFERENCE
 from .geometry import (
-    CutoffBand, LpProblem, TopkCell, cutoff_band, l1_envelope_rows, simplex_lp,
+    CutoffBand, LpProblem, TopkCell, l1_envelope_rows, simplex_lp,
 )
 from .tolerances import CUT_TOL, INT_TOL, TIE_EPS
 from .verify import finish_result
@@ -80,7 +80,7 @@ def build_milp(dataset, k, spec, region):
     pts = dataset.points
     if pts.min() < -TIE_EPS or pts.max() > 1.0 + TIE_EPS:
         raise ValueError("attributes must lie in [0,1] for the milp engine")
-    band = cutoff_band(dataset, k, region)
+    band = CutoffBand(dataset, k, region)
     d, m = dataset.d, len(band.rows)
     wo = region.reference
     wdiff = region.objective == W_DIFFERENCE
@@ -107,8 +107,8 @@ def build_milp(dataset, k, spec, region):
     a = np.zeros(nv)
     a[d + 1: d + 1 + m] = 1.0
     rows.append((a, "=", float(k - np.count_nonzero(band.sure_in))))
-    for j in range(spec.n_protected):
-        mask = dataset.group_member_mask(j)
+    member = dataset.profiles(spec.n_protected)[1].astype(bool)
+    for j, mask in enumerate(member):
         taken = np.count_nonzero(mask & band.sure_in)
         a = np.zeros(nv)
         a[d + 1: d + 1 + m][mask[band.rows]] = 1.0
@@ -197,6 +197,7 @@ def solve_milp(model, node_budget=DEFAULT_NODE_BUDGET):
     Branches on the most fractional binary (ties: smallest candidate id),
     explores nodes in (bound, depth, serial) order and accepts an integral
     subset only through its cell LP, whose point becomes the incumbent.
+    The result, partial or not, carries the model's CutoffBand as its band.
     """
     band = model.band
     cuts = []
@@ -218,12 +219,12 @@ def solve_milp(model, node_budget=DEFAULT_NODE_BUDGET):
         return simplex_lp(LpProblem(model.c, rows, model.direction))
 
     def finish():
-        """Report the incumbent weight through verify."""
+        """Report the incumbent weight through verify, with the band."""
         if incumbent is None:
             return None
         return finish_result(
             model.dataset, model.k, model.spec, model.region,
-            [incumbent], "milp",
+            [incumbent], "milp", band,
         )
 
     serial = 0

@@ -361,7 +361,8 @@ def select(dataset, config):
     The dataset's protected groups are reordered per the config, bounds
     convert from fractions, and the chosen engine runs over the epsilon
     box.  The stability post-process replaces nothing: it adds the
-    centered weight and margin on top of the engine's answer.
+    centered weight and margin on top of the engine's answer, over the
+    cutoff band the engine hands back (FairResult.band) when it has one.
     """
     data = reorder_protected(dataset, config.names) if config.names else dataset
     region = config.region(data.d)
@@ -376,7 +377,7 @@ def select(dataset, config):
                 "distance optimality",
                 stacklevel=2,
             )
-        sr = stable_weight(data, config.k, result.subset, region)
+        sr = stable_weight(data, config.k, result.subset, region, band=result.band)
         if sr is not None:
             result.stable_weight = sr.weight
             result.margin = sr.margin

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import WeightVector
-from .geometry import TopkCell, cutoff_band
+from .geometry import CutoffBand, TopkCell
 
 
 @dataclass(frozen=True)
@@ -46,18 +46,22 @@ class StableResult:
     box_radius: float
 
 
-def stable_weight(dataset, k, subset, region):
+def stable_weight(dataset, k, subset, region, band=None):
     """Largest inscribed ball of the subset's cell within the region.
 
-    The Chebyshev centre of geometry.TopkCell over the cutoff band, the
-    one an engine just built for the same dataset, k and region when there
-    is one (geometry.cutoff_band).
+    The Chebyshev centre of geometry.TopkCell over the cutoff band: band,
+    the CutoffBand an engine searched for this query (FairResult.band), or
+    one built here when it is None.  The answer does not depend on which.
     Returns None when the cell misses the region; raises ValueError when
-    subset is not k distinct ids of the dataset.
+    subset is not k distinct ids of the dataset, or when band was built
+    over another dataset, k or region.
     """
     if len(subset) != k:
         raise ValueError(f"subset size {len(subset)} does not match k={k}")
-    band = cutoff_band(dataset, k, region)
+    if band is None:
+        band = CutoffBand(dataset, k, region)
+    elif band.dataset is not dataset or band.k != k or band.region != region:
+        raise ValueError("band was built for another dataset, k or region")
     seats = band.seats(subset)
     got = None if seats is None else TopkCell(band, seats).center()
     if got is None:

@@ -449,11 +449,12 @@ def reference_topk_utility(dataset, k, wo):
     return float(sum(np.sort(dataset.scores(wo))[::-1][:k]))
 
 
-def finish_result(dataset, k, spec, region, weights, engine):
+def finish_result(dataset, k, spec, region, weights, engine, band=None):
     """FairResult at the first candidate weight that lies in the region and
     verifies fair, or None.
 
-    Engines hand over their candidate weights in order of preference;
+    Engines hand over their candidate weights in order of preference, and
+    the cutoff band they searched, if any, for the result to carry;
     witness, value and utility are always recomputed here, so every engine
     reports its numbers from this one code path.  Its resolver keeps every
     row: region.contains accepts weights up to FEAS_TOL outside the region,
@@ -483,6 +484,7 @@ def finish_result(dataset, k, spec, region, weights, engine):
             subset=witness,
             engine=engine,
             utility=util,
+            band=band,
         )
     return None
 

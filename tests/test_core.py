@@ -11,11 +11,9 @@ from fairtopk.core import (
     FairnessSpec,
     WeightRegion,
     WeightVector,
-    decode_profile,
     encode_profile,
     group_counts,
     is_fair_counts,
-    score,
     subset_utility,
     utility_loss,
     w_difference,
@@ -57,13 +55,15 @@ class TestCandidateDataset:
             five_dataset.points[0, 0] = 9.0
 
     def test_group_mask(self, five_dataset):
-        mask = five_dataset.group_member_mask(0)
-        assert mask.tolist() == [False, False, True, True, False]
-
-    def test_subset_keeps_order_and_groups(self, five_dataset):
-        sub = five_dataset.subset((4, 2))
-        assert [c.cid for c in sub.candidates] == [4, 2]
-        assert sub.by_id(2).groups == frozenset({0})
+        # profiles: one code per row and one membership row per group,
+        # built once and kept with the dataset
+        codes, member = five_dataset.profiles(1)
+        assert codes.tolist() == [0, 0, 1, 1, 0]
+        assert codes.dtype == np.uint8 and member.dtype == np.uint8
+        assert member.shape == (1, 5)
+        assert member[0].astype(bool).tolist() == [False, False, True, True, False]
+        again = five_dataset.profiles(1)
+        assert again[0] is codes and again[1] is member
 
     def test_scores_are_linear(self):
         rng = np.random.default_rng(7)
@@ -94,14 +94,6 @@ class TestWeightVector:
     def test_tiny_negative_noise_tolerated(self):
         w = WeightVector((1.0, -1e-13))
         assert w.as_array()[1] >= 0.0
-
-    def test_score_matches_dot_product(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            d = int(rng.integers(2, 6))
-            w = WeightVector(tuple(rng.dirichlet(np.ones(d))))
-            p = rng.random(d)
-            assert_allclose(score(p, w), float(np.dot(p, w.as_array())), atol=1e-14)
 
 
 class TestMetrics:
@@ -138,10 +130,13 @@ class TestMetrics:
 
 class TestProfileCodes:
     def test_roundtrip_exhaustive(self):
+        # every code is the group set of its set bits, and bit j is group j
         for n_protected in range(1, 7):
             for code in range(2**n_protected):
-                groups = decode_profile(code, n_protected)
+                groups = {j for j in range(n_protected) if code >> j & 1}
                 assert encode_profile(groups, n_protected) == code
+            for j in range(n_protected):
+                assert encode_profile({j}, n_protected) == 1 << j
 
     def test_encode_ignores_unprotected_group_ids(self):
         assert encode_profile({0, 3}, 2) == encode_profile({0}, 2)

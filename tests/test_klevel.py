@@ -21,7 +21,7 @@ from fairtopk.core import (
 )
 from fairtopk.generators import random_instance
 from fairtopk.geometry import CutoffBand, TopkCell, lift_weight
-from fairtopk.klevel import TraversalLedger, initial_cell, traverse
+from fairtopk.klevel import TraversalLedger, _seed_node, traverse
 from fairtopk.milp import build_milp, solve_milp
 from fairtopk.pipeline import RunConfig, select
 from fairtopk.sweep2d import sweep_select
@@ -50,10 +50,10 @@ def cell_of(data, k, subset, region):
 class TestCells:
     def test_initial_cell_is_topk_at_centroid(self, five_dataset):
         region = full_region(WeightVector((0.5, 0.5)))
-        node = initial_cell(five_dataset, 2, region)
+        band = CutoffBand(five_dataset, 2, region)
+        node = _seed_node(band, band.centroid)
         w = lift_weight(np.asarray(node.witness))
         decomp = decompose_topk(five_dataset, 2, w)
-        band = CutoffBand(five_dataset, 2, region)
         assert set(band.subset(node.seats)) == set(decomp.order[:2])
 
     def test_seed_seats_are_decompose_topk_order(self):
@@ -73,7 +73,7 @@ class TestCells:
             band = CutoffBand(data, 5, region)
             for w in [band.centroid, *band.verts, np.asarray(wo.weights[:-1])]:
                 decomp = decompose_topk(data, 5, lift_weight(w))
-                assert initial_cell(data, 5, region, w).seats == band.seats(decomp.order[:5])
+                assert _seed_node(band, w).seats == band.seats(decomp.order[:5])
                 tied += len(decomp.tied_out) > 0
         assert tied >= 10
 

@@ -1,8 +1,10 @@
 """Ingestion, preprocessing, driver dispatch, and benchmark harness tests."""
 
 import csv
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from fairtopk.core import (
 )
 from fairtopk import pipeline, verify
 from fairtopk.geometry import CutoffBand
+from fairtopk.klevel import traverse
+from fairtopk.milp import build_milp, solve_milp
 from fairtopk.pipeline import (
     BENCH_COLUMNS,
     KLEVEL_BASE_K,
@@ -472,7 +476,10 @@ class TestSelectDriver:
         assert result.extras["stable_degenerate"] is False
         assert result.extras["box_radius"] > 0.0
 
-    def test_stable_klevel_select_builds_one_band(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("engine", ["klevel", "milp", "sweep2d"])
+    def test_stable_select_builds_one_band(self, tmp_path, monkeypatch, engine):
+        # klevel and milp hand their band to the stability step; sweep2d
+        # builds none, so the stability step builds the one band itself
         built = []
         real = CutoffBand.__init__
 
@@ -482,10 +489,31 @@ class TestSelectDriver:
 
         monkeypatch.setattr(CutoffBand, "__init__", counting)
         data = load_csv(write_five_csv(tmp_path / "t.csv"), protected=("blue",))
-        result = select(data, five_config(objective=UTILITY_LOSS, engine="klevel", stable=True))
+        result = select(data, five_config(objective=UTILITY_LOSS, engine=engine, stable=True))
         assert result.subset == (2, 4)
         assert result.stable_weight[0] == pytest.approx(26.0 / 45.0, abs=1e-9)
+        assert (result.band is None) == (engine == "sweep2d")
         assert len(built) == 1
+
+    @pytest.mark.parametrize("run", ["klevel", "milp", "sweep2d", "traverse", "build_milp"])
+    def test_dataset_freed_once_dropped(self, tmp_path, run):
+        # no module keeps a query's band, and with it the caller's dataset,
+        # once the caller drops the dataset and the answer
+        data = load_csv(write_five_csv(tmp_path / "t.csv"), protected=("blue",))
+        engine = run if run in ("klevel", "milp", "sweep2d") else "auto"
+        config = five_config(objective=UTILITY_LOSS, engine=engine, stable=True)
+        if run == "traverse":
+            result = traverse(data, 2, config.spec, config.region(2))
+        elif run == "build_milp":
+            result = solve_milp(build_milp(data, 2, config.spec, config.region(2)))
+        else:
+            result = select(data, config)
+            assert result.stable_weight is not None
+        assert result is not None
+        ref = weakref.ref(data)
+        del data, result
+        gc.collect()
+        assert ref() is None
 
     def test_stable_after_distance_objective_warns(self, tmp_path):
         data = load_csv(write_five_csv(tmp_path / "t.csv"), protected=("blue",))

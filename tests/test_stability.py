@@ -6,16 +6,18 @@ from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
 import fairtopk.geometry
-from fairtopk.core import Candidate, Dataset, WeightRegion, WeightVector
+from fairtopk.core import UTILITY_LOSS, Candidate, Dataset, WeightRegion, WeightVector
+from fairtopk.generators import random_instance, random_spec
 from fairtopk.geometry import (
     CutoffBand,
     TopkCell,
     band_split,
     lift_weight,
     projected_region_rows,
-    project_weight,
     region_interval,
 )
+from fairtopk.klevel import traverse
+from fairtopk.milp import build_milp, solve_milp
 from fairtopk.stability import stable_weight
 from fairtopk.verify import decompose_topk
 from conftest import tied_instance
@@ -316,7 +318,7 @@ class TestMarginSemantics:
         assert res.margin == 0.0
         radius, walls = chebyshev_reference(data, subset, region)
         assert radius > 1e-3
-        y = project_weight(res.weight)
+        y = np.asarray(res.weight.weights[:-1])
         clearance = min(float(g @ y + h) for g, h in walls)
         assert clearance >= radius - 1e-9
 
@@ -360,7 +362,7 @@ class TestMarginSemantics:
             if res is None or res.margin <= 1e-9:
                 continue
             exercised += 1
-            y0 = project_weight(res.weight)
+            y0 = np.asarray(res.weight.weights[:-1])
             for _ in range(25):
                 delta = rng.uniform(-1, 1, size=d - 1) * 0.9 * res.box_radius
                 y = np.asarray(y0) + delta
@@ -385,3 +387,49 @@ class TestMarginSemantics:
             if res is None:
                 continue
             assert region.contains(res.weight, tol=1e-7)
+
+
+class TestBandHandOff:
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_engine_band_gives_the_same_result(self, d):
+        # the band an engine hands back and one built by stable_weight give
+        # bit-identical results, on the engines' own answers
+        rng = np.random.default_rng(503 + d)
+        compared = 0
+        for trial in range(16):
+            k = int(rng.integers(2, 6))
+            data = random_instance(rng, n=14, d=d, n_protected=1, dup_rate=0.2)
+            spec = random_spec(rng, data, k, 1)
+            wo = tuple(rng.dirichlet(np.ones(d)))
+            region = WeightRegion.box(WeightVector(wo), float(rng.uniform(0.1, 0.3)), UTILITY_LOSS)
+            if trial % 2:
+                result = traverse(data, k, spec, region)
+            else:
+                result = solve_milp(build_milp(data, k, spec, region))
+            if result is None:
+                continue
+            handed = stable_weight(data, k, result.subset, region, band=result.band)
+            built = stable_weight(data, k, result.subset, region)
+            assert handed == built, f"trial {trial}"
+            compared += handed is not None
+        assert compared >= 8
+
+    def test_band_of_another_query_is_refused(self):
+        rng = np.random.default_rng(509)
+        data = random_instance(rng, n=14, d=3, n_protected=1)
+        wo = WeightVector((0.4, 0.35, 0.25))
+        region = region_box(wo, 0.2)
+        subset = tuple(decompose_topk(data, 4, wo).order[:4])
+        expected = stable_weight(data, 4, subset, region)
+        assert expected is not None and expected.margin > 0.0
+        # an equal region built again is the same region
+        assert stable_weight(data, 4, subset, region,
+                             band=CutoffBand(data, 4, region_box(wo, 0.2))) == expected
+        others = (
+            CutoffBand(data, 5, region),
+            CutoffBand(data, 4, region_box(wo, 0.1)),
+            CutoffBand(Dataset(data.candidates), 4, region),
+        )
+        for band in others:
+            with pytest.raises(ValueError, match="another dataset, k or region"):
+                stable_weight(data, 4, subset, region, band=band)
